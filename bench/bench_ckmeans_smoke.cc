@@ -102,7 +102,7 @@ int Run(int argc, char** argv) {
   // compare / resident both start from fully ingested resident columns.
   common::Stopwatch sw;
   io::MomentStoreOptions options;
-  options.backend = io::MomentBackendChoice::kResident;
+  options.backend = io::BackendChoice::kResident;
   auto opened = io::StreamMomentStoreFromFile(path, eng, options);
   if (!opened.ok()) {
     std::fprintf(stderr, "ckmeans smoke: %s\n",

@@ -66,9 +66,9 @@ int Run(int argc, char** argv) {
   options.sidecar_path = args.GetString("sidecar", "");
   options.reuse_sidecar = args.GetBool("reuse_sidecar", true);
   if (mode == "mapped") {
-    options.backend = io::MomentBackendChoice::kMapped;
+    options.backend = io::BackendChoice::kMapped;
   } else if (mode == "resident") {
-    options.backend = io::MomentBackendChoice::kResident;
+    options.backend = io::BackendChoice::kResident;
   } else {
     std::fprintf(stderr,
                  "moments smoke: --mode must be mapped or resident\n");

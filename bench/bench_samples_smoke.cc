@@ -94,9 +94,9 @@ int Run(int argc, char** argv) {
   options.sidecar_path = args.GetString("sidecar", "");
   options.reuse_sidecar = args.GetBool("reuse_sidecar", true);
   if (mode == "mapped") {
-    options.backend = io::SampleBackendChoice::kMapped;
+    options.backend = io::BackendChoice::kMapped;
   } else if (mode == "resident") {
-    options.backend = io::SampleBackendChoice::kResident;
+    options.backend = io::BackendChoice::kResident;
   } else {
     std::fprintf(stderr,
                  "samples smoke: --mode must be mapped or resident\n");

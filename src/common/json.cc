@@ -132,7 +132,7 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Error("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
+    std::string token(text_.substr(start, pos_ - start));
     // JSON forbids leading zeros ("01"); strtod would accept them.
     const std::size_t first = token[0] == '-' ? 1 : 0;
     if (token.size() > first + 1 && token[first] == '0' &&
@@ -147,7 +147,7 @@ class Parser {
       pos_ = start;
       return Error("malformed number");
     }
-    *out = JsonValue::Number(v);
+    *out = JsonValue::Number(v, std::move(token));
     return Status::Ok();
   }
 

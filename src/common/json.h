@@ -151,12 +151,20 @@ class JsonValue {
   double AsDouble(double def = 0.0) const {
     return is_number() ? number_ : def;
   }
+  /// A parsed number's literal as written in the source text ("" for values
+  /// not produced by the parser). Doubles hold integers exactly only up to
+  /// 2^53; the literal lets integer fields be read without that rounding.
+  const std::string& NumberLiteral() const {
+    return is_number() ? string_ : Empty();
+  }
   /// The number truncated to int64 (or `def` for non-numbers).
   int64_t AsInt(int64_t def = 0) const {
     return is_number() ? static_cast<int64_t>(number_) : def;
   }
   /// The string ("" for non-strings).
-  const std::string& AsString() const { return string_; }
+  const std::string& AsString() const {
+    return is_string() ? string_ : Empty();
+  }
 
   /// Array elements (empty for non-arrays).
   const std::vector<JsonValue>& items() const { return items_; }
@@ -182,10 +190,11 @@ class JsonValue {
     j.bool_ = v;
     return j;
   }
-  static JsonValue Number(double v) {
+  static JsonValue Number(double v, std::string literal = "") {
     JsonValue j;
     j.type_ = Type::kNumber;
     j.number_ = v;
+    j.string_ = std::move(literal);
     return j;
   }
   static JsonValue String(std::string v) {
@@ -209,10 +218,15 @@ class JsonValue {
   }
 
  private:
+  static const std::string& Empty() {
+    static const std::string empty;
+    return empty;
+  }
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  // a string's value, or a number's literal
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };

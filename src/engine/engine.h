@@ -47,8 +47,8 @@ struct EngineConfig {
   /// are bit-identical either way.
   std::size_t memory_budget_bytes = 0;
   /// Rows per chunk of a Mapped moment store (io::MappedMomentStore).
-  /// Rounded up to a power of two by consumers; 0 = the format default
-  /// (io::kDefaultMomentChunkRows, 4096). Changes chunk/prefetch
+  /// Rounded up to a power of two by consumers; 0 = a budget-derived size,
+  /// then the format default (io::kDefaultMomentChunkRows, 4096). Changes chunk/prefetch
   /// granularity and the span-validity window, never the served values.
   std::size_t moment_chunk_rows = 0;
   /// Objects per chunk of a Mapped sample store (io::MappedSampleStore).

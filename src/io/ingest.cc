@@ -1,15 +1,11 @@
 #include "io/ingest.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <utility>
 
 #include "engine/parallel_for.h"
-#include "io/mmap_file.h"
 #include "io/moment_file.h"
-#include "io/moment_format.h"
 
 namespace uclust::io {
 
@@ -41,54 +37,47 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
   return mm;
 }
 
-common::Status BuildMomentSidecar(const std::string& dataset_path,
+namespace {
+
+// Writes the .umom sidecar of `dataset_path` straight to `sidecar_path`:
+// reader batches -> DatasetBuilder spill mode -> SidecarWriter.
+common::Status WriteMomentSidecar(const std::string& dataset_path,
                                   const std::string& sidecar_path,
                                   const engine::Engine& eng,
                                   std::size_t chunk_rows,
                                   std::size_t batch_size) {
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(dataset_path));
-  // Build into a unique temp sibling and rename into place only on success:
-  // a rebuild that fails midway (disk full, malformed source record, kill)
-  // must never destroy a previously valid — and possibly expensive —
-  // sidecar, and a concurrent reader serving windows from the old file
-  // keeps its consistent view (the rename unlinks the name, not the open
-  // inode). The per-call scratch name keeps concurrent rebuilds of one
-  // sidecar (e.g. two service jobs with different chunk shapes) from
-  // interleaving writes into a shared tmp inode.
-  const std::string tmp_path = UniqueScratchSiblingPath(sidecar_path);
-  auto build = [&]() -> common::Status {
-    MomentFileWriter writer;
-    UCLUST_RETURN_NOT_OK(writer.Open(tmp_path, reader.dims(), chunk_rows,
-                                     reader.file_bytes(),
-                                     FileMTimeTicks(dataset_path),
-                                     FileProbeHash(dataset_path)));
-    FileObjectSource source(&reader);
-    uncertain::DatasetBuilder builder(eng, &writer);
-    builder.Consume(&source, batch_size);
-    UCLUST_RETURN_NOT_OK(source.status());
-    UCLUST_RETURN_NOT_OK(builder.status());
-    if (builder.size() != reader.size()) {
-      return common::Status::Internal(
-          dataset_path + ": ingested " + std::to_string(builder.size()) +
-          " of " + std::to_string(reader.size()) + " objects");
-    }
-    return writer.Finish();
-  };
-  const common::Status built = build();
-  if (!built.ok()) {
-    std::remove(tmp_path.c_str());
-    return built;
+  SidecarHeader header;
+  header.m = reader.dims();
+  header.chunk_rows = chunk_rows;
+  UCLUST_RETURN_NOT_OK(StampSource(dataset_path, &header));
+  SidecarWriter writer;
+  UCLUST_RETURN_NOT_OK(writer.Open(kMomentSidecar, sidecar_path, header));
+  MomentSidecarSink sink(&writer);
+  FileObjectSource source(&reader);
+  uncertain::DatasetBuilder builder(eng, &sink);
+  builder.Consume(&source, batch_size);
+  UCLUST_RETURN_NOT_OK(source.status());
+  UCLUST_RETURN_NOT_OK(builder.status());
+  if (builder.size() != reader.size()) {
+    return common::Status::Internal(
+        dataset_path + ": ingested " + std::to_string(builder.size()) +
+        " of " + std::to_string(reader.size()) + " objects");
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, sidecar_path, ec);
-  if (ec) {
-    std::remove(tmp_path.c_str());
-    return common::Status::IOError(sidecar_path +
-                                   ": cannot move rebuilt sidecar into "
-                                   "place: " + ec.message());
-  }
-  return common::Status::Ok();
+  return writer.Finish();
+}
+
+}  // namespace
+
+common::Status BuildMomentSidecar(const std::string& dataset_path,
+                                  const std::string& sidecar_path,
+                                  const engine::Engine& eng,
+                                  std::size_t chunk_rows,
+                                  std::size_t batch_size) {
+  return CommitSidecar(sidecar_path, [&](const std::string& tmp) {
+    return WriteMomentSidecar(dataset_path, tmp, eng, chunk_rows, batch_size);
+  });
 }
 
 common::Status MomentBatchStream::Open(const std::string& path) {
@@ -185,20 +174,10 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   const std::size_t n = reader.size();
   const std::size_t m = reader.dims();
 
-  // Backend policy (mirrors PairwiseStoreOptions::FromBudget): unlimited
-  // budget, or columns that fit it, stay resident; anything larger spills to
-  // the mmap-backed sidecar. The header gives n and m before ingestion, so
-  // the decision never requires materializing anything.
-  MomentBackendChoice choice = options.backend;
-  if (choice == MomentBackendChoice::kAuto) {
-    const std::size_t budget = eng.memory_budget_bytes();
-    const std::size_t resident_bytes = (3 * n * m + n) * sizeof(double);
-    choice = (budget == 0 || resident_bytes <= budget)
-                 ? MomentBackendChoice::kResident
-                 : MomentBackendChoice::kMapped;
-  }
-
-  if (choice == MomentBackendChoice::kResident) {
+  // The header gives n and m before ingestion, so the backend decision
+  // never requires materializing anything.
+  const std::size_t row_bytes = SidecarRowBytes(kMomentSidecar, m, 1);
+  if (!UseMappedBackend(options.backend, eng, n * row_bytes)) {
     FileObjectSource source(&reader);
     uncertain::MomentMatrix mm = uncertain::DatasetBuilder::BuildMoments(
         &source, eng, options.batch_size);
@@ -214,61 +193,26 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
         new uncertain::ResidentMomentStore(std::move(mm)));
   }
 
-  const std::string sidecar = options.sidecar_path.empty()
-                                  ? path + ".umom"
-                                  : options.sidecar_path;
-  // Effective chunk requirement: an explicit hint wins; otherwise, when a
-  // budget is set, size chunks so the mapped window caches themselves
-  // respect the budget that forced the Mapped backend — every thread keeps
-  // up to kMomentWindowSlots windows alive, so threads x slots x chunk
-  // bytes must fit. Floor to a power of two, clamped to [64, default]
-  // rows. 0 = no requirement (format default).
-  std::size_t chunk_rows = options.chunk_rows != 0 ? options.chunk_rows
-                                                   : eng.moment_chunk_rows();
-  if (chunk_rows == 0 && eng.memory_budget_bytes() > 0) {
-    const std::size_t window_budget =
-        eng.memory_budget_bytes() /
-        (static_cast<std::size_t>(eng.num_threads()) * kMomentWindowSlots);
-    const std::size_t row_bytes = (3 * m + 1) * sizeof(double);
-    const std::size_t want = window_budget / row_bytes;
-    std::size_t pow2 = 1;
-    while (pow2 * 2 <= want && pow2 < kDefaultMomentChunkRows) pow2 *= 2;
-    chunk_rows = std::max<std::size_t>(pow2, 64);
-  }
-  bool reuse = false;
-  if (options.reuse_sidecar) {
-    // Staleness guard: shape, byte size, last-write tick, AND a content
-    // probe (first/last 4 KiB hash) of the source dataset must match what
-    // the sidecar recorded. A dataset regenerated in place often reproduces
-    // the exact byte count (fixed-size records) and can land in the same
-    // mtime tick on coarse filesystems — the probe still differs, so the
-    // stale sidecar is rebuilt, not served. On top of staleness, the
-    // sidecar's chunks must not exceed the effective requirement: larger
-    // chunks would blow the window-memory bound the caller (or the budget
-    // derivation) sized for; smaller chunks only cost extra faults.
-    auto info = ReadMomentFileInfo(sidecar);
-    reuse = info.ok() && info.ValueOrDie().n == n &&
-            info.ValueOrDie().m == m &&
-            info.ValueOrDie().source_size == reader.file_bytes() &&
-            info.ValueOrDie().source_mtime == FileMTimeTicks(path) &&
-            info.ValueOrDie().source_probe == FileProbeHash(path) &&
-            (chunk_rows == 0 ||
-             info.ValueOrDie().chunk_rows <=
-                 NormalizeMomentChunkRows(chunk_rows));
-  }
-  if (!reuse) {
-    UCLUST_RETURN_NOT_OK(BuildMomentSidecar(path, sidecar, eng, chunk_rows,
-                                            options.batch_size));
-  }
-  auto store = MappedMomentStore::Open(sidecar);
-  UCLUST_RETURN_NOT_OK(store.status());
-  if (store.ValueOrDie()->size() != n || store.ValueOrDie()->dims() != m) {
-    return common::Status::Internal(sidecar +
-                                    ": sidecar shape does not match " + path);
-  }
+  SidecarHeader want;
+  want.n = n;
+  want.m = m;
+  want.chunk_rows = options.chunk_rows != 0 ? options.chunk_rows
+                                            : eng.moment_chunk_rows();
+  UCLUST_RETURN_NOT_OK(StampSource(path, &want));
+  auto sidecar = OpenOrRebuildSidecar(
+      kMomentSidecar,
+      options.sidecar_path.empty() ? path + kMomentSidecar.extension
+                                   : options.sidecar_path,
+      want, eng, options.reuse_sidecar,
+      [&](const std::string& out, std::size_t chunk_rows) {
+        return WriteMomentSidecar(path, out, eng, chunk_rows,
+                                  options.batch_size);
+      });
+  if (!sidecar.ok()) return sidecar.status();
   if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader.ReadLabels(labels));
   if (dataset_name != nullptr) *dataset_name = reader.name();
-  return uncertain::MomentStorePtr(std::move(store).ValueOrDie());
+  return uncertain::MomentStorePtr(
+      new MappedMomentStore(std::move(sidecar).ValueOrDie()));
 }
 
 }  // namespace uclust::io

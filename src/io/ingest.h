@@ -16,7 +16,7 @@
 //     Mapped path the builder spills each batch straight into a .umom
 //     sidecar (see moment_file.h), so peak memory is O(batch + chunk)
 //     regardless of n, and a valid matching sidecar from an earlier run is
-//     reused instead of rebuilt.
+//     reused instead of rebuilt (OpenOrRebuildSidecar, sidecar_file.h).
 #ifndef UCLUST_IO_INGEST_H_
 #define UCLUST_IO_INGEST_H_
 
@@ -28,6 +28,7 @@
 #include "common/status.h"
 #include "engine/engine.h"
 #include "io/dataset_reader.h"
+#include "io/sidecar_file.h"
 #include "uncertain/dataset_builder.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
@@ -64,30 +65,19 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
     std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize,
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
 
-/// How StreamMomentStoreFromFile picks the MomentStore backend.
-enum class MomentBackendChoice {
-  kAuto,      ///< Resident iff the columns fit eng.memory_budget_bytes()
-              ///< (0 = unlimited = Resident, mirroring PairwiseStore).
-  kResident,  ///< Force the flat in-memory columns.
-  kMapped,    ///< Force the mmap-backed .umom sidecar.
-};
-
 /// Tuning of a StreamMomentStoreFromFile call.
 struct MomentStoreOptions {
-  MomentBackendChoice backend = MomentBackendChoice::kAuto;
+  BackendChoice backend = BackendChoice::kAuto;
   /// Rows per sidecar chunk; 0 = the engine's moment_chunk_rows hint, then
-  /// the format default. Rounded up to a power of two.
+  /// a budget-derived size, then the format default. Rounded up to a power
+  /// of two.
   std::size_t chunk_rows = 0;
   /// Sidecar location; "" = dataset path + ".umom".
   std::string sidecar_path;
-  /// Reuse an existing sidecar when its header matches the dataset (same n,
-  /// m, source byte size, last-write time, AND content probe — the
-  /// staleness guard written at build time, so in-place regenerations that
-  /// reproduce the byte count are still caught) and its chunks are no
-  /// larger than the effective chunk requirement (explicit hint or
-  /// budget-derived size — larger chunks would exceed the window-memory
-  /// bound; smaller ones only cost extra faults). A mismatched or invalid
-  /// sidecar is silently rebuilt; set false to force a rebuild regardless.
+  /// Reuse an existing sidecar whose header matches the dataset (n, m and
+  /// the source size/mtime/probe guard) and whose chunks are no larger than
+  /// the chunk requirement (see OpenOrRebuildSidecar); anything else is
+  /// rebuilt. false forces a rebuild.
   bool reuse_sidecar = true;
   /// Streaming batch size for the ingestion pass.
   std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize;
@@ -105,8 +95,8 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
 
 /// Builds (or rebuilds) the .umom moment sidecar for a binary dataset file
 /// in one bounded-memory pass: reader batches -> DatasetBuilder spill mode
-/// -> MomentFileWriter. Used by `dataset_gen --emit-moments` and by the
-/// Mapped path of StreamMomentStoreFromFile.
+/// -> SidecarWriter, into a temp sibling renamed into place on success.
+/// Used by `dataset_gen --emit-moments`.
 common::Status BuildMomentSidecar(
     const std::string& dataset_path, const std::string& sidecar_path,
     const engine::Engine& eng = engine::Engine::Serial(),

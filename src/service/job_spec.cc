@@ -1,5 +1,6 @@
 #include "service/job_spec.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "clustering/registry.h"
@@ -7,6 +8,10 @@
 namespace uclust::service {
 
 namespace {
+
+// 2^53: every integer up to it survives a round trip through a JSON
+// client's double; 2^53 + 1 already does not.
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
 
 // Normalizes one JSON knob value to the string form ApplyEngineKnob
 // parses. Integral numbers, booleans, and strings only — a fractional
@@ -20,7 +25,10 @@ common::Result<std::string> KnobValueToString(const std::string& key,
       return std::string(v.AsBool() ? "true" : "false");
     case common::JsonValue::Type::kNumber: {
       const double d = v.AsDouble();
-      if (!std::isfinite(d) || d != std::floor(d)) {
+      // Bounded before the cast: an int64 cast of a double outside its
+      // range is undefined.
+      if (!std::isfinite(d) || d != std::floor(d) ||
+          std::fabs(d) > static_cast<double>(kMaxExactInteger)) {
         return common::Status::InvalidArgument(
             "job spec: engine." + key + " must be an integer");
       }
@@ -32,17 +40,35 @@ common::Result<std::string> KnobValueToString(const std::string& key,
   }
 }
 
+// Reads an integral JSON number in [min, max]. A plain integer literal is
+// parsed exactly from its text: through a double, 2^53 + 1 would round to
+// 2^53 and INT64_MAX to 2^63, whose cast to int64 is undefined. Other
+// integral forms ("3.0", "1e3") go through the double, range-checked before
+// the cast.
 common::Status ExpectInt(const std::string& key, const common::JsonValue& v,
                          int64_t min, int64_t max, int64_t* out) {
   if (!v.is_number() || v.AsDouble() != std::floor(v.AsDouble())) {
     return common::Status::InvalidArgument("job spec: " + key +
                                            " must be an integer");
   }
-  const int64_t i = v.AsInt();
-  if (i < min || i > max) {
+  const std::string& text = v.NumberLiteral();
+  int64_t i = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), i);
+  bool in_range;
+  if (!text.empty() && end == text.data() + text.size()) {
+    in_range = ec == std::errc() && i >= min && i <= max;
+  } else {
+    const double d = v.AsDouble();
+    in_range = d >= static_cast<double>(min) && d <= static_cast<double>(max);
+    if (in_range) i = static_cast<int64_t>(d);
+  }
+  if (!in_range) {
     return common::Status::OutOfRange(
-        "job spec: " + key + " = " + std::to_string(i) + " out of range [" +
-        std::to_string(min) + ", " + std::to_string(max) + "]");
+        "job spec: " + key + " = " +
+        (text.empty() ? std::to_string(v.AsDouble()) : text) +
+        " out of range [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]");
   }
   *out = i;
   return common::Status::Ok();
@@ -87,7 +113,7 @@ common::Result<JobSpec> JobSpec::FromJsonValue(const common::JsonValue& root) {
     } else if (key == "seed") {
       int64_t seed = 0;
       UCLUST_RETURN_NOT_OK(
-          ExpectInt("seed", value, 0, INT64_MAX, &seed));
+          ExpectInt("seed", value, 0, kMaxExactInteger, &seed));
       spec.seed = static_cast<std::uint64_t>(seed);
     } else if (key == "max_iters") {
       int64_t iters = 0;

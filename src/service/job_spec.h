@@ -32,6 +32,7 @@ struct JobSpec {
   /// the dataset fully resident.
   std::string algorithm = "CK-means";
   int k = 0;
+  /// In [0, 2^53]: every seed a JSON client's double holds exactly.
   std::uint64_t seed = 0;
   int max_iters = 100;
   /// Include the per-object labels array in the result JSON (counters and

@@ -231,7 +231,9 @@ HttpResponse ClusteringService::HandleJobs(const HttpRequest& req,
   if (id.empty()) {
     if (req.method != "POST") return ErrorResponse(405, "jobs: POST only");
     common::Result<JobSpec> spec = JobSpec::FromJson(req.body);
-    if (!spec.ok()) return StatusResponse(spec.status());
+    // Every spec rejection is a validation error (400), including an
+    // out-of-range value, which the default mapping would make a 429.
+    if (!spec.ok()) return ErrorResponse(400, spec.status().ToString());
     common::Result<std::string> job_id =
         jobs_->Submit(std::move(spec).ValueOrDie(), request_id);
     if (!job_id.ok()) return StatusResponse(job_id.status());

@@ -85,7 +85,7 @@ class ResidentMomentStore final : public MomentStore {
 };
 
 /// Row-stream consumer of canonically packed moment rows — the uncertain
-/// layer's handle on the .umom sidecar writer (io::MomentFileWriter), which
+/// layer's handle on the .umom sidecar writer (io::MomentSidecarSink), which
 /// lets DatasetBuilder spill moments straight to the Mapped backend without
 /// ever materializing the full columns.
 class MomentSink {

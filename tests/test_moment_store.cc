@@ -1,14 +1,12 @@
-// Tests for the MomentStore abstraction: the Resident and Mapped backends
-// serve bit-identical statistics (element-wise and through whole clustering
-// runs at several thread counts), corrupt/truncated/foreign-endian .umom
-// sidecars are rejected instead of mis-parsed, chunk boundaries are exact
-// for any n (divisible by chunk_rows or not), sidecar reuse honors the
-// staleness guard, and DatasetBuilder's spill mode equals the resident
-// builder for any batch partition.
+// Moment-specific cases of the MomentStore abstraction: the fast
+// algorithms cluster bit-identically on the Resident and Mapped backends at
+// every thread count, and DatasetBuilder's spill mode writes the resident
+// builder's moments for any batch partition. The cases both sidecar formats
+// share (format rejection, chunk sweep, reuse guard, ...) are in
+// test_sidecar_store.cc.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -17,159 +15,36 @@
 #include "clustering/mmvar.h"
 #include "clustering/ucpc.h"
 #include "clustering/ukmeans.h"
-#include "common/rng.h"
 #include "engine/engine.h"
-#include "io/binary_format.h"
-#include "io/dataset_writer.h"
 #include "io/ingest.h"
-#include "io/mmap_file.h"
 #include "io/moment_file.h"
-#include "io/moment_format.h"
+#include "sidecar_test_util.h"
 #include "uncertain/dataset_builder.h"
-#include "uncertain/dirac_pdf.h"
-#include "uncertain/discrete_pdf.h"
-#include "uncertain/exponential_pdf.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
-#include "uncertain/normal_pdf.h"
-#include "uncertain/uniform_pdf.h"
 
 namespace uclust {
 namespace {
 
+using namespace testing_util;  // NOLINT(build/namespaces)
 using uncertain::DatasetBuilder;
 using uncertain::MomentBackend;
 using uncertain::MomentMatrix;
 using uncertain::MomentStorePtr;
 using uncertain::MomentView;
-using uncertain::PdfPtr;
-using uncertain::UncertainObject;
-
-std::string TempPath(const std::string& file) {
-  return ::testing::TempDir() + file;
-}
-
-// Objects cycling through every serializable pdf family (mirrors
-// tests/test_io.cc so the sidecar sees irregular parameters).
-std::vector<UncertainObject> MakeTestObjects(std::size_t n, std::size_t m,
-                                             uint64_t seed) {
-  std::vector<UncertainObject> objects;
-  common::Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<PdfPtr> dims;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double w = rng.Uniform(-3.0, 3.0);
-      const double scale = rng.Uniform(0.05, 0.4);
-      switch ((i + j) % 4) {
-        case 0:
-          dims.push_back(uncertain::UniformPdf::Centered(w, scale));
-          break;
-        case 1:
-          dims.push_back(uncertain::TruncatedNormalPdf::Make(w, scale));
-          break;
-        case 2:
-          dims.push_back(
-              uncertain::TruncatedExponentialPdf::Make(w, 1.0 / scale));
-          break;
-        default:
-          dims.push_back(uncertain::DiracPdf::Make(w));
-      }
-    }
-    objects.emplace_back(std::move(dims));
-  }
-  return objects;
-}
-
-std::string WriteTestFile(const std::string& file,
-                          const std::vector<UncertainObject>& objects) {
-  const std::string path = TempPath(file);
-  io::BinaryDatasetWriter writer;
-  EXPECT_TRUE(writer
-                  .Open(path, objects[0].dims(), "moment-store-test", 3,
-                        /*with_labels=*/true)
-                  .ok());
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    EXPECT_TRUE(writer.Append(objects[i], static_cast<int>(i % 3)).ok());
-  }
-  EXPECT_TRUE(writer.Finish().ok());
-  return path;
-}
-
-// Bit-exact element-wise comparison of two views.
-void ExpectViewsBitIdentical(const MomentView& a, const MomentView& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.dims(), b.dims());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(0, std::memcmp(a.mean(i).data(), b.mean(i).data(),
-                             a.dims() * sizeof(double)))
-        << "mean row " << i;
-    ASSERT_EQ(0, std::memcmp(a.second_moment(i).data(),
-                             b.second_moment(i).data(),
-                             a.dims() * sizeof(double)))
-        << "mu2 row " << i;
-    ASSERT_EQ(0, std::memcmp(a.variance(i).data(), b.variance(i).data(),
-                             a.dims() * sizeof(double)))
-        << "var row " << i;
-    ASSERT_EQ(a.total_variance(i), b.total_variance(i)) << "total var " << i;
-  }
-}
-
-std::vector<char> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good());
-  return std::vector<char>(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_TRUE(out.good());
-}
 
 // Opens a forced-backend store over `path`.
-MomentStorePtr OpenStore(const std::string& path,
-                         io::MomentBackendChoice choice,
-                         const engine::Engine& eng = engine::Engine::Serial(),
+MomentStorePtr OpenStore(const std::string& path, io::BackendChoice choice,
                          std::size_t chunk_rows = 0,
-                         const std::string& sidecar = "",
-                         bool reuse = true) {
+                         const std::string& sidecar = "") {
   io::MomentStoreOptions options;
   options.backend = choice;
   options.chunk_rows = chunk_rows;
   options.sidecar_path = sidecar;
-  options.reuse_sidecar = reuse;
-  auto store = io::StreamMomentStoreFromFile(path, eng, options);
+  auto store =
+      io::StreamMomentStoreFromFile(path, engine::Engine::Serial(), options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).ValueOrDie();
-}
-
-TEST(MomentStoreTest, ChunkBoundarySweepIsBitIdentical) {
-  // n deliberately not divisible by any chunk size; sweep chunk shapes from
-  // "more chunks than the per-thread window LRU holds" (chunk_rows=1 ->
-  // 97 chunks > kMomentWindowSlots, forcing eviction + refault) to "one
-  // chunk covering everything".
-  const auto objects = MakeTestObjects(97, 3, /*seed=*/7);
-  const std::string path = WriteTestFile("chunksweep.ubin", objects);
-  const MomentMatrix reference = MomentMatrix::FromObjects(objects);
-
-  for (const std::size_t chunk_rows :
-       {std::size_t{1}, std::size_t{8}, std::size_t{32}, std::size_t{128}}) {
-    const std::string sidecar =
-        TempPath("chunksweep" + std::to_string(chunk_rows) + ".umom");
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), chunk_rows, sidecar);
-    ASSERT_EQ(MomentBackend::kMapped, store->backend());
-    EXPECT_TRUE(store->view().chunked());
-    EXPECT_EQ(chunk_rows, store->view().chunk_rows());
-    ExpectViewsBitIdentical(reference.view(), store->view());
-    // Sequential second pass: re-faulting evicted chunks must reproduce the
-    // same bytes.
-    ExpectViewsBitIdentical(reference.view(), store->view());
-    std::remove(sidecar.c_str());
-  }
-  std::remove(path.c_str());
 }
 
 TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
@@ -193,7 +68,7 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
 
   // Reference run: resident backend, single thread.
   const MomentStorePtr resident =
-      OpenStore(path, io::MomentBackendChoice::kResident);
+      OpenStore(path, io::BackendChoice::kResident);
   ASSERT_EQ(MomentBackend::kResident, resident->backend());
   const auto ref_ukm = clustering::Ukmeans::RunOnMoments(
       resident->view(), kClusters, kSeed, clustering::Ukmeans::Params(),
@@ -207,8 +82,7 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
 
   // Small chunks so every run crosses many chunk boundaries.
   const MomentStorePtr mapped =
-      OpenStore(path, io::MomentBackendChoice::kMapped,
-                engine::Engine::Serial(), /*chunk_rows=*/16, sidecar);
+      OpenStore(path, io::BackendChoice::kMapped, /*chunk_rows=*/16, sidecar);
   ASSERT_EQ(MomentBackend::kMapped, mapped->backend());
 
   for (const engine::Engine& eng : engines) {
@@ -247,9 +121,13 @@ TEST(MomentStoreTest, SpillModeMatchesResidentBuilderForAnyBatchPartition) {
        {std::size_t{1}, std::size_t{5}, std::size_t{53}, std::size_t{60}}) {
     for (const engine::Engine& eng : engines) {
       const std::string sidecar = TempPath("spill.umom");
-      io::MomentFileWriter writer;
-      ASSERT_TRUE(writer.Open(sidecar, 3, /*chunk_rows=*/8).ok());
-      DatasetBuilder builder(eng, &writer);
+      io::SidecarHeader header;
+      header.m = 3;
+      header.chunk_rows = 8;
+      io::SidecarWriter writer;
+      ASSERT_TRUE(writer.Open(io::kMomentSidecar, sidecar, header).ok());
+      io::MomentSidecarSink sink(&writer);
+      DatasetBuilder builder(eng, &sink);
       for (std::size_t start = 0; start < objects.size(); start += batch) {
         const std::size_t count = std::min(batch, objects.size() - start);
         builder.AddBatch({objects.data() + start, count});
@@ -260,311 +138,10 @@ TEST(MomentStoreTest, SpillModeMatchesResidentBuilderForAnyBatchPartition) {
 
       auto store = io::MappedMomentStore::Open(sidecar);
       ASSERT_TRUE(store.ok()) << store.status().ToString();
-      ExpectViewsBitIdentical(reference.view(),
-                              store.ValueOrDie()->view());
-      // Where this build supports mmap, the windows must actually have come
-      // from mmap — a silent 100% heap-read fallback would invalidate the
-      // out-of-core design while passing every value check.
-      EXPECT_EQ(io::MmapSupported(), store.ValueOrDie()->used_mmap());
+      ExpectMomentsBitIdentical(reference.view(), store.ValueOrDie()->view());
       std::remove(sidecar.c_str());
     }
   }
-}
-
-TEST(MomentStoreTest, WriteMomentFileRoundTripsAnyView) {
-  const auto objects = MakeTestObjects(41, 2, /*seed=*/3);
-  const MomentMatrix reference = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("roundtrip.umom");
-  ASSERT_TRUE(
-      io::WriteMomentFile(reference.view(), sidecar, /*chunk_rows=*/4).ok());
-  auto store = io::MappedMomentStore::Open(sidecar);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ExpectViewsBitIdentical(reference.view(), store.ValueOrDie()->view());
-
-  // A chunked view is a valid source too (mapped -> file -> mapped).
-  const std::string copy = TempPath("roundtrip2.umom");
-  ASSERT_TRUE(io::WriteMomentFile(store.ValueOrDie()->view(), copy,
-                                  /*chunk_rows=*/16)
-                  .ok());
-  auto store2 = io::MappedMomentStore::Open(copy);
-  ASSERT_TRUE(store2.ok()) << store2.status().ToString();
-  ExpectViewsBitIdentical(reference.view(), store2.ValueOrDie()->view());
-  std::remove(copy.c_str());
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentStoreTest, AutoBackendSelectionFollowsBudget) {
-  const auto objects = MakeTestObjects(60, 3, /*seed=*/17);
-  const std::string path = WriteTestFile("budget.ubin", objects);
-  const std::size_t resident_bytes = (3 * 60 * 3 + 60) * sizeof(double);
-
-  struct Case {
-    std::size_t budget;
-    MomentBackend expected;
-  };
-  const Case cases[] = {
-      {0, MomentBackend::kResident},  // unlimited
-      {resident_bytes, MomentBackend::kResident},
-      {resident_bytes - 1, MomentBackend::kMapped},
-      {1, MomentBackend::kMapped},
-  };
-  for (const Case& c : cases) {
-    engine::EngineConfig config;
-    config.memory_budget_bytes = c.budget;
-    const engine::Engine eng(config);
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kAuto, eng, 0,
-                  TempPath("budget.umom"));
-    EXPECT_EQ(c.expected, store->backend()) << "budget " << c.budget;
-    if (c.expected == MomentBackend::kMapped) {
-      // With no explicit chunk hint, auto-sizing bounds the per-thread
-      // window cache by the budget (floored to the 64-row minimum here).
-      EXPECT_EQ(64u, store->view().chunk_rows()) << "budget " << c.budget;
-    }
-  }
-  std::remove(TempPath("budget.umom").c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MomentStoreTest, SidecarReuseHonorsStalenessGuard) {
-  const auto objects = MakeTestObjects(30, 2, /*seed=*/23);
-  const std::string path = WriteTestFile("reuse.ubin", objects);
-  const std::string sidecar = TempPath("reuse.umom");
-  const MomentMatrix reference = MomentMatrix::FromObjects(objects);
-
-  // First open builds the sidecar.
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
-    ExpectViewsBitIdentical(reference.view(), store->view());
-  }
-
-  // Poison one payload double in place (same size, header untouched). A
-  // reusing open must serve the poisoned byte — proof it did NOT rebuild.
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const double poison = 1234.5;
-  std::memcpy(bytes.data() + io::kMomentHeaderBytes, &poison, sizeof(poison));
-  WriteFileBytes(sidecar, bytes);
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
-    EXPECT_EQ(poison, store->view().mean(0)[0]);
-  }
-
-  // reuse=false must rebuild and restore the true value.
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar, /*reuse=*/false);
-    ExpectViewsBitIdentical(reference.view(), store->view());
-  }
-
-  // A sidecar whose stored source size mismatches the dataset is stale:
-  // rewrite the guard field and expect a silent rebuild even with reuse on.
-  bytes = ReadFileBytes(sidecar);
-  const uint64_t wrong_source = 1;
-  std::memcpy(bytes.data() + 40, &wrong_source, sizeof(wrong_source));
-  WriteFileBytes(sidecar, bytes);
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
-    ExpectViewsBitIdentical(reference.view(), store->view());
-  }
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MomentStoreTest, SidecarReuseRespectsChunkRequirement) {
-  const auto objects = MakeTestObjects(40, 2, /*seed=*/61);
-  const std::string path = WriteTestFile("chunkreq.ubin", objects);
-  const std::string sidecar = TempPath("chunkreq.umom");
-
-  // Build with 8-row chunks.
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/8, sidecar);
-    EXPECT_EQ(8u, store->view().chunk_rows());
-  }
-  // A larger requirement reuses the smaller-chunk sidecar (window memory
-  // only shrinks).
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/32, sidecar);
-    EXPECT_EQ(8u, store->view().chunk_rows());
-  }
-  // A smaller requirement must rebuild: serving 8-row chunks when the
-  // caller sized windows for 4 would exceed the memory bound.
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/4, sidecar);
-    EXPECT_EQ(4u, store->view().chunk_rows());
-    ExpectViewsBitIdentical(MomentMatrix::FromObjects(objects).view(),
-                            store->view());
-  }
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MomentStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
-  // Regenerating a dataset in place with fixed-size records reproduces the
-  // exact byte count, and on coarse filesystems the rewrite can land in the
-  // same mtime tick (this test deliberately does NOT touch timestamps) —
-  // the content-probe part of the guard must catch it and force a rebuild.
-  const auto objects_v1 = MakeTestObjects(24, 2, /*seed=*/51);
-  const std::string path = WriteTestFile("regen.ubin", objects_v1);
-  const std::size_t v1_bytes = ReadFileBytes(path).size();
-  const std::string sidecar = TempPath("regen.umom");
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
-    ExpectViewsBitIdentical(MomentMatrix::FromObjects(objects_v1).view(),
-                            store->view());
-  }
-
-  // Same n/m/pdf-family cycle, different seed: identical byte size, so the
-  // size guard alone would wrongly reuse the v1 sidecar.
-  const auto objects_v2 = MakeTestObjects(24, 2, /*seed=*/52);
-  const std::string path2 = WriteTestFile("regen.ubin", objects_v2);
-  ASSERT_EQ(path, path2);
-  ASSERT_EQ(v1_bytes, ReadFileBytes(path).size());
-
-  const MomentStorePtr store =
-      OpenStore(path, io::MomentBackendChoice::kMapped,
-                engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
-  ExpectViewsBitIdentical(MomentMatrix::FromObjects(objects_v2).view(),
-                          store->view());
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MomentStoreTest, FailedRebuildPreservesExistingSidecar) {
-  const auto objects = MakeTestObjects(25, 2, /*seed=*/71);
-  const std::string path = WriteTestFile("failsafe.ubin", objects);
-  const std::string sidecar = TempPath("failsafe.umom");
-  const MomentMatrix reference = MomentMatrix::FromObjects(objects);
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
-    ExpectViewsBitIdentical(reference.view(), store->view());
-  }
-
-  // Corrupt the dataset so (a) the staleness probe forces a rebuild and
-  // (b) that rebuild fails mid-ingestion: the first object's length prefix
-  // (at header 64 + name "moment-store-test" 17) claims more bytes than
-  // the file holds. The header itself stays valid, so the failure happens
-  // after the temp writer opened — exactly the dangerous window.
-  std::vector<char> bytes = ReadFileBytes(path);
-  const uint32_t huge_payload = 0xffffffffu;
-  std::memcpy(bytes.data() + 64 + 17, &huge_payload, sizeof(huge_payload));
-  WriteFileBytes(path, bytes);
-
-  io::MomentStoreOptions options;
-  options.backend = io::MomentBackendChoice::kMapped;
-  options.sidecar_path = sidecar;
-  const auto failed = io::StreamMomentStoreFromFile(path, engine::Engine::Serial(),
-                                                    options);
-  EXPECT_FALSE(failed.ok());
-
-  // The previously built sidecar must have survived the failed rebuild
-  // intact (the rebuild goes through a temp sibling + rename).
-  auto survived = io::MappedMomentStore::Open(sidecar);
-  ASSERT_TRUE(survived.ok()) << survived.status().ToString();
-  ExpectViewsBitIdentical(reference.view(), survived.ValueOrDie()->view());
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MomentFormatTest, RejectsForeignEndianSidecars) {
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/5);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("endian.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint32_t swapped = io::kEndianTagSwapped;
-  std::memcpy(bytes.data() + 8, &swapped, sizeof(swapped));
-  WriteFileBytes(sidecar, bytes);
-
-  const auto result = io::MappedMomentStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos, result.status().message().find("endian"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, RejectsNewerVersionsAndBadMagic) {
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/5);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("version.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> future = bytes;
-  const uint32_t version = io::kMomentFormatVersion + 7;
-  std::memcpy(future.data() + 12, &version, sizeof(version));
-  WriteFileBytes(sidecar, future);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-
-  std::vector<char> magic = bytes;
-  magic[0] = 'x';
-  WriteFileBytes(sidecar, magic);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-
-  WriteFileBytes(sidecar, std::vector<char>(10, 'x'));  // shorter than header
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, RejectsTruncatedAndPaddedSidecars) {
-  const auto objects = MakeTestObjects(20, 3, /*seed=*/9);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("size.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  const std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> truncated = bytes;
-  truncated.resize(bytes.size() - 8);
-  WriteFileBytes(sidecar, truncated);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-
-  std::vector<char> padded = bytes;
-  padded.push_back('x');
-  WriteFileBytes(sidecar, padded);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, RejectsNonPowerOfTwoChunkRows) {
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/5);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("chunkpow.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint64_t odd_rows = 3;
-  std::memcpy(bytes.data() + 32, &odd_rows, sizeof(odd_rows));
-  WriteFileBytes(sidecar, bytes);
-  const auto result = io::MappedMomentStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos,
-            result.status().message().find("power of two"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, NormalizeChunkRowsRoundsUpToPowersOfTwo) {
-  EXPECT_EQ(io::kDefaultMomentChunkRows, io::NormalizeMomentChunkRows(0));
-  EXPECT_EQ(1u, io::NormalizeMomentChunkRows(1));
-  EXPECT_EQ(8u, io::NormalizeMomentChunkRows(5));
-  EXPECT_EQ(4096u, io::NormalizeMomentChunkRows(4096));
-  EXPECT_EQ(std::size_t{1} << 20,
-            io::NormalizeMomentChunkRows((std::size_t{1} << 20) + 1));
 }
 
 }  // namespace

@@ -1,434 +1,82 @@
-// Tests for the SampleStore abstraction: the Resident and Mapped backends
-// serve bit-identical sample bytes (element-wise, across chunk shapes, and
-// for any builder batch partition), corrupt/truncated/foreign-endian .usmp
-// sidecars are rejected instead of mis-parsed, sidecar reuse honors the
-// extended staleness guard (source size/mtime/probe PLUS samples-per-object
-// and draw seed), a registry-annotated sidecar pin is honored only when its
-// header matches the requested (S, seed), temp spills self-delete, and the
-// factory's failure policy falls back to the Resident backend.
+// Sample-specific cases of the SampleStore factory: reuse also requires the
+// draw parameters (S and seed), temp spills self-delete, the param-encoded
+// default sidecar is reused across calls, a registry-annotated sidecar pin
+// is honored only when its header matches the requested (S, seed), and the
+// clusterer-facing failure policy falls back to the Resident backend. The
+// cases both sidecar formats share (format rejection, chunk sweep, reuse
+// guard, ...) are in test_sidecar_store.cc.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "data/dataset.h"
 #include "engine/engine.h"
-#include "io/binary_format.h"
-#include "io/dataset_reader.h"
-#include "io/dataset_writer.h"
-#include "io/mmap_file.h"
 #include "io/sample_file.h"
-#include "io/sample_format.h"
-#include "uncertain/dirac_pdf.h"
-#include "uncertain/exponential_pdf.h"
-#include "uncertain/normal_pdf.h"
+#include "io/sidecar_format.h"
+#include "sidecar_test_util.h"
 #include "uncertain/sample_store.h"
-#include "uncertain/uniform_pdf.h"
 
 namespace uclust {
 namespace {
 
-using uncertain::PdfPtr;
+using namespace testing_util;  // NOLINT(build/namespaces)
 using uncertain::ResidentSampleStore;
 using uncertain::SampleBackend;
 using uncertain::SampleStorePtr;
-using uncertain::SampleView;
-using uncertain::UncertainObject;
 
-std::string TempPath(const std::string& file) {
-  return ::testing::TempDir() + file;
-}
-
-// Objects cycling through every serializable pdf family (mirrors
-// tests/test_moment_store.cc so the sidecar sees irregular parameters).
-std::vector<UncertainObject> MakeTestObjects(std::size_t n, std::size_t m,
-                                             uint64_t seed) {
-  std::vector<UncertainObject> objects;
-  common::Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<PdfPtr> dims;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double w = rng.Uniform(-3.0, 3.0);
-      const double scale = rng.Uniform(0.05, 0.4);
-      switch ((i + j) % 4) {
-        case 0:
-          dims.push_back(uncertain::UniformPdf::Centered(w, scale));
-          break;
-        case 1:
-          dims.push_back(uncertain::TruncatedNormalPdf::Make(w, scale));
-          break;
-        case 2:
-          dims.push_back(
-              uncertain::TruncatedExponentialPdf::Make(w, 1.0 / scale));
-          break;
-        default:
-          dims.push_back(uncertain::DiracPdf::Make(w));
-      }
-    }
-    objects.emplace_back(std::move(dims));
-  }
-  return objects;
-}
-
-std::string WriteTestFile(const std::string& file,
-                          const std::vector<UncertainObject>& objects) {
-  const std::string path = TempPath(file);
-  io::BinaryDatasetWriter writer;
-  EXPECT_TRUE(writer
-                  .Open(path, objects[0].dims(), "sample-store-test", 3,
-                        /*with_labels=*/true)
-                  .ok());
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    EXPECT_TRUE(writer.Append(objects[i], static_cast<int>(i % 3)).ok());
-  }
-  EXPECT_TRUE(writer.Finish().ok());
-  return path;
-}
-
-// Loads a file-backed dataset (annotated with its source path, which the
-// factory's sidecar reuse guard keys off).
-data::UncertainDataset LoadDataset(const std::string& path) {
-  auto ds = io::ReadUncertainDataset(path);
-  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
-  return std::move(ds).ValueOrDie();
-}
-
-// Bit-exact element-wise comparison of two sample views.
-void ExpectSamplesBitIdentical(const SampleView& a, const SampleView& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.samples_per_object(), b.samples_per_object());
-  ASSERT_EQ(a.dims(), b.dims());
-  const std::size_t row =
-      static_cast<std::size_t>(a.samples_per_object()) * a.dims();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(0, std::memcmp(a.ObjectSamples(i).data(),
-                             b.ObjectSamples(i).data(), row * sizeof(double)))
-        << "object row " << i;
-  }
-}
-
-std::vector<char> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good());
-  return std::vector<char>(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_TRUE(out.good());
-}
-
-// Opens a forced-backend store over `ds`.
-SampleStorePtr OpenStore(const data::UncertainDataset& ds,
-                         int samples_per_object, uint64_t seed,
-                         io::SampleBackendChoice choice,
-                         const engine::Engine& eng = engine::Engine::Serial(),
-                         std::size_t chunk_rows = 0,
-                         const std::string& sidecar = "", bool reuse = true) {
+// Opens a Mapped store over `ds`.
+SampleStorePtr OpenMapped(const data::UncertainDataset& ds,
+                          int samples_per_object, uint64_t seed,
+                          const std::string& sidecar = "",
+                          std::size_t chunk_rows = 0) {
   io::SampleStoreOptions options;
-  options.backend = choice;
+  options.backend = io::BackendChoice::kMapped;
   options.chunk_rows = chunk_rows;
   options.sidecar_path = sidecar;
-  options.reuse_sidecar = reuse;
-  auto store = io::MakeSampleStore(ds, samples_per_object, seed, eng, options);
+  auto store = io::MakeSampleStore(ds, samples_per_object, seed,
+                                   engine::Engine::Serial(), options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).ValueOrDie();
 }
 
-TEST(SampleStoreTest, ChunkBoundarySweepIsBitIdentical) {
-  // n deliberately not divisible by any chunk size; sweep chunk shapes from
-  // "more chunks than the per-thread window LRU holds" (chunk_rows=1 ->
-  // 97 chunks > kSampleWindowSlots, forcing eviction + refault) to "one
-  // chunk covering everything".
-  const auto objects = MakeTestObjects(97, 3, /*seed=*/7);
-  const std::string path = WriteTestFile("smp_chunksweep.ubin", objects);
-  const auto ds = LoadDataset(path);
-  const ResidentSampleStore reference(ds.objects(), /*samples=*/6, 0x5eed);
-
-  for (const std::size_t chunk_rows :
-       {std::size_t{1}, std::size_t{8}, std::size_t{32}, std::size_t{128}}) {
-    const std::string sidecar =
-        TempPath("smp_chunksweep" + std::to_string(chunk_rows) + ".usmp");
-    const SampleStorePtr store =
-        OpenStore(ds, 6, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), chunk_rows, sidecar);
-    ASSERT_EQ(SampleBackend::kMapped, store->backend());
-    EXPECT_TRUE(store->view().chunked());
-    EXPECT_EQ(chunk_rows, store->view().chunk_rows());
-    ExpectSamplesBitIdentical(reference.view(), store->view());
-    // Sequential second pass: re-faulting evicted chunks must reproduce the
-    // same bytes.
-    ExpectSamplesBitIdentical(reference.view(), store->view());
-    std::remove(sidecar.c_str());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SampleStoreTest, SpillMatchesResidentForAnyBatchPartition) {
-  const auto objects = MakeTestObjects(53, 3, /*seed=*/31);
-  const std::string path = WriteTestFile("smp_spill.ubin", objects);
-  const ResidentSampleStore reference(objects, /*samples=*/5, 0x5eed);
-
-  engine::EngineConfig threaded;
-  threaded.num_threads = 3;
-  threaded.block_size = 4;
-  const engine::Engine engines[] = {engine::Engine::Serial(),
-                                    engine::Engine(threaded)};
-  for (const std::size_t batch :
-       {std::size_t{1}, std::size_t{5}, std::size_t{53}, std::size_t{60}}) {
-    for (const engine::Engine& eng : engines) {
-      const std::string sidecar = TempPath("smp_spill.usmp");
-      ASSERT_TRUE(io::BuildSampleSidecar(path, sidecar, /*samples=*/5, 0x5eed,
-                                         eng, /*chunk_rows=*/8, batch)
-                      .ok());
-      auto store = io::MappedSampleStore::Open(sidecar);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      ExpectSamplesBitIdentical(reference.view(), store.ValueOrDie()->view());
-      // Where this build supports mmap, the windows must actually have come
-      // from mmap — a silent 100% heap-read fallback would invalidate the
-      // out-of-core design while passing every value check.
-      EXPECT_EQ(io::MmapSupported(), store.ValueOrDie()->used_mmap());
-      std::remove(sidecar.c_str());
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SampleStoreTest, WriteSampleFileRoundTripsAnyView) {
-  const auto objects = MakeTestObjects(41, 2, /*seed=*/3);
-  const ResidentSampleStore reference(objects, /*samples=*/4, 0x5eed);
-  const std::string sidecar = TempPath("smp_roundtrip.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(reference.view(), sidecar, 0x5eed,
-                                  /*chunk_rows=*/4)
-                  .ok());
-  auto store = io::MappedSampleStore::Open(sidecar);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ExpectSamplesBitIdentical(reference.view(), store.ValueOrDie()->view());
-  EXPECT_EQ(0x5eedu, store.ValueOrDie()->seed());
-
-  // A chunked view is a valid source too (mapped -> file -> mapped).
-  const std::string copy = TempPath("smp_roundtrip2.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(store.ValueOrDie()->view(), copy, 0x5eed,
-                                  /*chunk_rows=*/16)
-                  .ok());
-  auto store2 = io::MappedSampleStore::Open(copy);
-  ASSERT_TRUE(store2.ok()) << store2.status().ToString();
-  ExpectSamplesBitIdentical(reference.view(), store2.ValueOrDie()->view());
-  std::remove(copy.c_str());
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleStoreTest, AutoBackendSelectionFollowsBudget) {
-  const auto objects = MakeTestObjects(60, 3, /*seed=*/17);
-  const std::string path = WriteTestFile("smp_budget.ubin", objects);
-  const auto ds = LoadDataset(path);
-  constexpr int kSamples = 8;
-  const std::size_t resident_bytes = 60 * kSamples * 3 * sizeof(double);
-
-  struct Case {
-    std::size_t budget;
-    SampleBackend expected;
-  };
-  const Case cases[] = {
-      {0, SampleBackend::kResident},  // unlimited
-      {resident_bytes, SampleBackend::kResident},
-      {resident_bytes - 1, SampleBackend::kMapped},
-      {1, SampleBackend::kMapped},
-  };
-  for (const Case& c : cases) {
-    engine::EngineConfig config;
-    config.memory_budget_bytes = c.budget;
-    const engine::Engine eng(config);
-    const SampleStorePtr store =
-        OpenStore(ds, kSamples, 0x5eed, io::SampleBackendChoice::kAuto, eng, 0,
-                  TempPath("smp_budget.usmp"));
-    EXPECT_EQ(c.expected, store->backend()) << "budget " << c.budget;
-    if (c.expected == SampleBackend::kMapped) {
-      // With no explicit chunk hint, auto-sizing bounds the per-thread
-      // window cache by the budget. The floor is 16 rows — 4x smaller than
-      // the moment store's, because a sample row is S times wider.
-      EXPECT_EQ(16u, store->view().chunk_rows()) << "budget " << c.budget;
-    }
-  }
-  std::remove(TempPath("smp_budget.usmp").c_str());
-  std::remove(path.c_str());
-}
-
-TEST(SampleStoreTest, SidecarReuseHonorsStalenessGuard) {
+TEST(SampleStoreTest, SidecarReuseRequiresDrawParameters) {
+  // The reuse guard extends the moment store's with the DRAW parameters: a
+  // sidecar over the right dataset but drawn with a different seed or S is
+  // not the requested artifact. Poison the payload each time and prove the
+  // poison does NOT survive — the store rebuilt instead of reusing.
   const auto objects = MakeTestObjects(30, 2, /*seed=*/23);
-  const std::string path = WriteTestFile("smp_reuse.ubin", objects);
-  const std::string sidecar = TempPath("smp_reuse.usmp");
-  const auto ds = LoadDataset(path);
-  const ResidentSampleStore reference(ds.objects(), /*samples=*/4, 0x5eed);
-  const auto open = [&](bool reuse) {
-    return OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                     engine::Engine::Serial(), 8, sidecar, reuse);
-  };
-
-  // First open builds the sidecar.
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
-
-  // Poison one payload double in place (same size, header untouched). A
-  // reusing open must serve the poisoned byte — proof it did NOT rebuild.
-  const double poison = 1234.5;
-  const auto poison_payload = [&] {
-    std::vector<char> bytes = ReadFileBytes(sidecar);
-    std::memcpy(bytes.data() + io::kSampleHeaderBytes, &poison,
-                sizeof(poison));
-    WriteFileBytes(sidecar, bytes);
-  };
-  poison_payload();
-  EXPECT_EQ(poison, open(true)->view().ObjectSamples(0)[0]);
-
-  // reuse=false must rebuild and restore the true value.
-  ExpectSamplesBitIdentical(reference.view(), open(false)->view());
-
-  // A sidecar whose stored source size mismatches the dataset is stale:
-  // rewrite the guard field (offset 56) and expect a silent rebuild even
-  // with reuse on.
-  {
-    std::vector<char> bytes = ReadFileBytes(sidecar);
-    const uint64_t wrong_source = 1;
-    std::memcpy(bytes.data() + 56, &wrong_source, sizeof(wrong_source));
-    WriteFileBytes(sidecar, bytes);
-  }
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
-
-  // The guard extends the moment store's with the DRAW parameters. A
-  // sidecar recording a different master seed (offset 48) is not the
-  // requested artifact: poison the payload too, and prove the poison does
-  // NOT survive — the store rebuilt instead of reusing.
-  {
-    std::vector<char> bytes = ReadFileBytes(sidecar);
-    const uint64_t other_seed = 0x5eee;
-    std::memcpy(bytes.data() + 48, &other_seed, sizeof(other_seed));
-    std::memcpy(bytes.data() + io::kSampleHeaderBytes, &poison,
-                sizeof(poison));
-    WriteFileBytes(sidecar, bytes);
-  }
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
-
-  // Same for samples-per-object (offset 32): the header's size check fails
-  // for the declared S, so the file is invalid and silently rebuilt.
-  {
-    std::vector<char> bytes = ReadFileBytes(sidecar);
-    const uint64_t wrong_samples = 5;
-    std::memcpy(bytes.data() + 32, &wrong_samples, sizeof(wrong_samples));
-    std::memcpy(bytes.data() + io::kSampleHeaderBytes, &poison,
-                sizeof(poison));
-    WriteFileBytes(sidecar, bytes);
-  }
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
-
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(SampleStoreTest, SidecarReuseRespectsChunkRequirement) {
-  const auto objects = MakeTestObjects(40, 2, /*seed=*/61);
-  const std::string path = WriteTestFile("smp_chunkreq.ubin", objects);
-  const std::string sidecar = TempPath("smp_chunkreq.usmp");
-  const auto ds = LoadDataset(path);
-  const auto open = [&](std::size_t chunk_rows) {
-    return OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                     engine::Engine::Serial(), chunk_rows, sidecar);
-  };
-
-  // Build with 8-row chunks.
-  EXPECT_EQ(8u, open(8)->view().chunk_rows());
-  // A larger requirement reuses the smaller-chunk sidecar (window memory
-  // only shrinks).
-  EXPECT_EQ(8u, open(32)->view().chunk_rows());
-  // A smaller requirement must rebuild: serving 8-row chunks when the
-  // caller sized windows for 4 would exceed the memory bound.
-  const SampleStorePtr rebuilt = open(4);
-  EXPECT_EQ(4u, rebuilt->view().chunk_rows());
-  const ResidentSampleStore reference(ds.objects(), 4, 0x5eed);
-  ExpectSamplesBitIdentical(reference.view(), rebuilt->view());
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(SampleStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
-  // Regenerating a dataset in place with fixed-size records reproduces the
-  // exact byte count, and on coarse filesystems the rewrite can land in the
-  // same mtime tick (this test deliberately does NOT touch timestamps) —
-  // the content-probe part of the guard must catch it and force a rebuild.
-  const auto objects_v1 = MakeTestObjects(24, 2, /*seed=*/51);
-  const std::string path = WriteTestFile("smp_regen.ubin", objects_v1);
-  const std::size_t v1_bytes = ReadFileBytes(path).size();
-  const std::string sidecar = TempPath("smp_regen.usmp");
-  {
-    const auto ds = LoadDataset(path);
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
-    ExpectSamplesBitIdentical(ResidentSampleStore(objects_v1, 4, 0x5eed).view(),
-                              store->view());
-  }
-
-  // Same n/m/pdf-family cycle, different seed: identical byte size, so the
-  // size guard alone would wrongly reuse the v1 sidecar.
-  const auto objects_v2 = MakeTestObjects(24, 2, /*seed=*/52);
-  const std::string path2 = WriteTestFile("smp_regen.ubin", objects_v2);
-  ASSERT_EQ(path, path2);
-  ASSERT_EQ(v1_bytes, ReadFileBytes(path).size());
-
-  const auto ds = LoadDataset(path);
-  const SampleStorePtr store =
-      OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
-  ExpectSamplesBitIdentical(ResidentSampleStore(objects_v2, 4, 0x5eed).view(),
-                            store->view());
-  std::remove(sidecar.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(SampleStoreTest, FailedRebuildPreservesExistingSidecar) {
-  const auto objects = MakeTestObjects(25, 2, /*seed=*/71);
-  const std::string path = WriteTestFile("smp_failsafe.ubin", objects);
-  const std::string sidecar = TempPath("smp_failsafe.usmp");
+  const auto ds = LoadDataset(WriteTestFile("smp_drawparams.ubin", objects));
+  const std::string sidecar = TempPath("smp_drawparams.usmp");
   const ResidentSampleStore reference(objects, 4, 0x5eed);
-  const auto ds = LoadDataset(path);  // loaded BEFORE the corruption below
   {
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
+    const SampleStorePtr store = OpenMapped(ds, 4, 0x5eed, sidecar, 8);
     ExpectSamplesBitIdentical(reference.view(), store->view());
+    const auto* mapped = dynamic_cast<const io::MappedSampleStore*>(store.get());
+    ASSERT_NE(nullptr, mapped);
+    EXPECT_EQ(0x5eedu, mapped->seed());
   }
+  const double poison = 1234.5;
+  uint64_t poison_bits = 0;
+  std::memcpy(&poison_bits, &poison, sizeof(poison));
 
-  // Corrupt the dataset so (a) the staleness probe forces a rebuild and
-  // (b) that rebuild — which streams from the source file, not from the
-  // resident objects — fails mid-stream: the first object's length prefix
-  // (at header 64 + name "sample-store-test" 17) claims more bytes than
-  // the file holds. The file header itself stays valid, so the failure
-  // happens after the temp writer opened — exactly the dangerous window.
-  std::vector<char> bytes = ReadFileBytes(path);
-  const uint32_t huge_payload = 0xffffffffu;
-  std::memcpy(bytes.data() + 64 + 17, &huge_payload, sizeof(huge_payload));
-  WriteFileBytes(path, bytes);
-  io::SampleStoreOptions options;
-  options.backend = io::SampleBackendChoice::kMapped;
-  options.sidecar_path = sidecar;
-  const auto failed =
-      io::MakeSampleStore(ds, 4, 0x5eed, engine::Engine::Serial(), options);
-  EXPECT_FALSE(failed.ok());
+  // A different master seed (offset 48).
+  PatchFile(sidecar, 48, 0x5eee);
+  PatchFile(sidecar, io::kSampleHeaderBytes, poison_bits);
+  ExpectSamplesBitIdentical(reference.view(),
+                            OpenMapped(ds, 4, 0x5eed, sidecar, 8)->view());
 
-  // The previously built sidecar must have survived the failed rebuild
-  // intact (the rebuild goes through a temp sibling + rename).
-  auto survived = io::MappedSampleStore::Open(sidecar);
-  ASSERT_TRUE(survived.ok()) << survived.status().ToString();
-  ExpectSamplesBitIdentical(reference.view(), survived.ValueOrDie()->view());
+  // A different samples-per-object (offset 32): the size check fails for
+  // the declared S, so the file is invalid and silently rebuilt.
+  PatchFile(sidecar, 32, 5);
+  PatchFile(sidecar, io::kSampleHeaderBytes, poison_bits);
+  ExpectSamplesBitIdentical(reference.view(),
+                            OpenMapped(ds, 4, 0x5eed, sidecar, 8)->view());
   std::remove(sidecar.c_str());
-  std::remove(path.c_str());
+  std::remove(ds.source_path().c_str());
 }
 
 TEST(SampleStoreTest, TempSpillSelfDeletesWithTheStore) {
@@ -440,7 +88,7 @@ TEST(SampleStoreTest, TempSpillSelfDeletesWithTheStore) {
   std::string spill;
   {
     const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+        OpenMapped(ds, 4, 0x5eed);
     spill = store->sidecar_path();
     ASSERT_FALSE(spill.empty());
     EXPECT_TRUE(std::filesystem::exists(spill));
@@ -461,7 +109,7 @@ TEST(SampleStoreTest, DefaultSidecarIsReusedAcrossFactoryCalls) {
   const std::string sidecar = io::DefaultSampleSidecarPath(path, 4, 0x5eed);
   {
     const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+        OpenMapped(ds, 4, 0x5eed);
     EXPECT_EQ(sidecar, store->sidecar_path());
   }
   ASSERT_TRUE(std::filesystem::exists(sidecar));
@@ -471,7 +119,7 @@ TEST(SampleStoreTest, DefaultSidecarIsReusedAcrossFactoryCalls) {
   WriteFileBytes(sidecar, bytes);
   {
     const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+        OpenMapped(ds, 4, 0x5eed);
     EXPECT_EQ(poison, store->view().ObjectSamples(0)[0]);
   }
   // A different seed encodes a different default path — no churn of the
@@ -495,8 +143,7 @@ TEST(SampleStoreTest, AnnotatedSidecarReusedOnlyWhenHeaderMatches) {
   {
     // Emit the pinned artifact with seed 0x5eed (as dataset_gen would).
     const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/0, pinned);
+        OpenMapped(ds, 4, 0x5eed, pinned);
     EXPECT_EQ(pinned, store->sidecar_path());
   }
   ds.set_samples_sidecar_path(pinned);
@@ -505,14 +152,14 @@ TEST(SampleStoreTest, AnnotatedSidecarReusedOnlyWhenHeaderMatches) {
   {
     // Matching (S, seed): the pin is honored.
     const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+        OpenMapped(ds, 4, 0x5eed);
     EXPECT_EQ(pinned, store->sidecar_path());
   }
   {
     // Mismatched seed: the store lands on the default sibling and the
     // pinned file survives bit-for-bit.
     const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eee, io::SampleBackendChoice::kMapped);
+        OpenMapped(ds, 4, 0x5eee);
     EXPECT_EQ(io::DefaultSampleSidecarPath(path, 4, 0x5eee),
               store->sidecar_path());
     EXPECT_EQ(pinned_bytes, ReadFileBytes(pinned));
@@ -520,7 +167,7 @@ TEST(SampleStoreTest, AnnotatedSidecarReusedOnlyWhenHeaderMatches) {
   {
     // Mismatched samples-per-object likewise.
     const SampleStorePtr store =
-        OpenStore(ds, 8, 0x5eed, io::SampleBackendChoice::kMapped);
+        OpenMapped(ds, 8, 0x5eed);
     EXPECT_EQ(io::DefaultSampleSidecarPath(path, 8, 0x5eed),
               store->sidecar_path());
     EXPECT_EQ(pinned_bytes, ReadFileBytes(pinned));
@@ -547,87 +194,6 @@ TEST(SampleStoreTest, FactoryFailureFallsBackToResident) {
   EXPECT_EQ(SampleBackend::kResident, store->backend());
   ExpectSamplesBitIdentical(ResidentSampleStore(objects, 4, 0x5eed).view(),
                             store->view());
-}
-
-TEST(SampleFormatTest, RejectsForeignEndianSidecars) {
-  const ResidentSampleStore ref(MakeTestObjects(10, 2, /*seed=*/5), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_endian.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint32_t swapped = io::kEndianTagSwapped;
-  std::memcpy(bytes.data() + 8, &swapped, sizeof(swapped));
-  WriteFileBytes(sidecar, bytes);
-
-  const auto result = io::MappedSampleStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos, result.status().message().find("endian"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, RejectsNewerVersionsAndBadMagic) {
-  const ResidentSampleStore ref(MakeTestObjects(10, 2, /*seed=*/5), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_version.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  const std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> future = bytes;
-  const uint32_t version = io::kSampleFormatVersion + 7;
-  std::memcpy(future.data() + 12, &version, sizeof(version));
-  WriteFileBytes(sidecar, future);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-
-  std::vector<char> magic = bytes;
-  magic[0] = 'x';
-  WriteFileBytes(sidecar, magic);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-
-  WriteFileBytes(sidecar, std::vector<char>(10, 'x'));  // shorter than header
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, RejectsTruncatedAndPaddedSidecars) {
-  const ResidentSampleStore ref(MakeTestObjects(20, 3, /*seed=*/9), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_size.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  const std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> truncated = bytes;
-  truncated.resize(bytes.size() - 8);
-  WriteFileBytes(sidecar, truncated);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-
-  std::vector<char> padded = bytes;
-  padded.push_back('x');
-  WriteFileBytes(sidecar, padded);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, RejectsNonPowerOfTwoChunkRows) {
-  const ResidentSampleStore ref(MakeTestObjects(10, 2, /*seed=*/5), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_chunkpow.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint64_t odd_rows = 3;
-  std::memcpy(bytes.data() + 40, &odd_rows, sizeof(odd_rows));
-  WriteFileBytes(sidecar, bytes);
-  const auto result = io::MappedSampleStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos,
-            result.status().message().find("power of two"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, NormalizeChunkRowsRoundsUpToPowersOfTwo) {
-  EXPECT_EQ(io::kDefaultSampleChunkRows, io::NormalizeSampleChunkRows(0));
-  EXPECT_EQ(1u, io::NormalizeSampleChunkRows(1));
-  EXPECT_EQ(8u, io::NormalizeSampleChunkRows(5));
-  EXPECT_EQ(512u, io::NormalizeSampleChunkRows(512));
-  EXPECT_EQ(std::size_t{1} << 20,
-            io::NormalizeSampleChunkRows((std::size_t{1} << 20) + 1));
 }
 
 }  // namespace

@@ -103,6 +103,9 @@ TEST(JobSpec, RejectsInvalidBodies) {
   EXPECT_FALSE(JobSpec::FromJson("{\"dataset_id\": \"d\", \"k\": 3,"
                                  " \"engine\": {\"threads\": 1.5}}")
                    .ok());
+  EXPECT_FALSE(JobSpec::FromJson("{\"dataset_id\": \"d\", \"k\": 3,"
+                                 " \"engine\": {\"threads\": 1e30}}")
+                   .ok());
 }
 
 TEST(JobSpec, ToJsonRoundTrips) {
@@ -116,6 +119,29 @@ TEST(JobSpec, ToJsonRoundTrips) {
   EXPECT_EQ(reparsed.ValueOrDie().k, 5);
   EXPECT_EQ(reparsed.ValueOrDie().seed, 9u);
   EXPECT_EQ(reparsed.ValueOrDie().engine.num_threads, 2);
+}
+
+TEST(JobSpec, SeedRangeIsExactUpToTwoToThe53) {
+  const auto with_seed = [](const std::string& seed) {
+    return JobSpec::FromJson("{\"dataset_id\": \"d\", \"k\": 3, \"seed\": " +
+                             seed + "}");
+  };
+  // 2^53 is the largest accepted seed and round-trips through ToJson.
+  auto top = with_seed("9007199254740992");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top.ValueOrDie().seed, uint64_t{1} << 53);
+  auto reparsed = JobSpec::FromJson(top.ValueOrDie().ToJson());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.ValueOrDie().seed, uint64_t{1} << 53);
+  // Above it a double cannot hold the seed: 2^53 + 1 would silently
+  // cluster with 2^53, and INT64_MAX would round to 2^63.
+  for (const char* seed :
+       {"9007199254740993", "9223372036854775807", "99999999999999999999",
+        "1e19", "-1"}) {
+    auto r = with_seed(seed);
+    ASSERT_FALSE(r.ok()) << seed;
+    EXPECT_EQ(r.status().code(), common::StatusCode::kOutOfRange) << seed;
+  }
 }
 
 // ----------------------------------------------------- DatasetRegistry --
@@ -479,6 +505,12 @@ TEST(ClusteringService, EndToEndMatchesDirectRun) {
   EXPECT_EQ(svc.Handle(Req("GET", "/v1/algorithms")).status, 200);
   EXPECT_EQ(svc.Handle(Req("GET", "/nope")).status, 404);
   EXPECT_EQ(svc.Handle(Req("POST", "/v1/jobs", "{oops")).status, 400);
+  // An out-of-range spec value is a validation error, not a capacity 429.
+  EXPECT_EQ(svc.Handle(Req("POST", "/v1/jobs",
+                           "{\"dataset_id\": \"d\", \"k\": 3,"
+                           " \"seed\": 9007199254740993}"))
+                .status,
+            400);
   EXPECT_EQ(svc.Handle(Req("GET", "/v1/jobs/j-404")).status, 404);
 
   // Register the fixture dataset.
