@@ -63,8 +63,13 @@ int Run(int argc, char** argv) {
   const int k = static_cast<int>(args.GetInt("k", 8));
   const int max_iters = static_cast<int>(args.GetInt("max_iters", 30));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  const engine::Engine eng(
-      bench::EngineConfigFromFlagsOrDie(args, "ckmeans smoke"));
+  engine::EngineConfig config =
+      bench::EngineConfigFromFlagsOrDie(args, "ckmeans smoke");
+  if (mode == "minibatch") {
+    config.ukmeans_minibatch_size =
+        static_cast<std::size_t>(args.GetInt("minibatch", 8192));
+  }
+  const engine::Engine eng(config);
 
   std::printf("[ckmeans smoke] mode=%s dataset=%s k=%d max_iters=%d\n",
               mode.c_str(), path.c_str(), k, max_iters);
@@ -72,8 +77,6 @@ int Run(int argc, char** argv) {
   if (mode == "minibatch") {
     clustering::CkMeans::Params p;
     p.max_iters = max_iters;
-    p.minibatch_size =
-        static_cast<std::size_t>(args.GetInt("minibatch", 8192));
     common::Stopwatch sw;
     auto r = clustering::CkMeans::ClusterFile(path, k, seed, p, eng);
     if (!r.ok()) {
@@ -95,7 +98,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
     std::printf("CKMEANS RESULT=OK mode=minibatch n=%zu batch=%zu\n",
-                out.labels.size(), p.minibatch_size);
+                out.labels.size(), eng.ukmeans_minibatch_size());
     return 0;
   }
 

@@ -8,11 +8,12 @@
 // speedup of the execution engine at the 100% size, sweeps the
 // PairwiseStore backend axis (dense / tiled / on-the-fly ED^ tables) on an
 // object-backed UK-medoids workload with peak-RSS and peak-table-memory
-// accounting, sweeps the tile-policy axis (full sweep vs gather tiles vs
-// gather + warm rows, with kernel-eval and warm-hit counters) plus an
-// FDBSCAN pruned-vs-unpruned sweep on a mix-family dataset, sweeps the
-// CK-means axis (direct vs reduced vs reduced+bounds UK-means assignment
-// work, with distance-eval and bounds-skip accounting), sweeps the
+// accounting, records the tile-policy row (gather tiles + warm rows under a
+// quarter-dense-table budget, with kernel-eval and warm-hit counters
+// against the full-sweep evaluation floor) plus an FDBSCAN pruned sweep on
+// a mix-family dataset, sweeps the CK-means axis (direct reference vs
+// reduced+bounds UK-means assignment work, with distance-eval and
+// bounds-skip accounting), sweeps the
 // MomentStore backend axis (resident columns vs the mmap-backed .umom
 // sidecar) on the fast group with moments-bytes-resident accounting, and
 // persists everything to a machine-readable BENCH_fig5_scalability.json
@@ -36,9 +37,6 @@
 //   --pairwise_n=N    size of the backend/tile-policy axis sweeps
 //                     (default 1500; 0 skips them)
 //   --pairwise_budget_mb=M  tiled-backend budget   (default 4)
-//   --pairwise_gather_tiles/--pairwise_warm_rows/--pairwise_pruned_sweeps
-//                     engine tile-policy knobs for the main sweeps (the
-//                     tile-policy axis sweeps them itself)
 //   --seed=S          master seed                (default 1)
 #include <algorithm>
 #include <cstdio>
@@ -81,9 +79,11 @@ void TimeFastGroup(const uncertain::MomentView& mm, int k, int runs,
                    uint64_t seed, const engine::Engine& eng, Timing* ukm,
                    Timing* mmv, Timing* ucpc) {
   for (int r = 0; r < runs; ++r) {
+    // The product path Cluster() runs (the CK-means fast path), not the
+    // direct Ukmeans::RunOnMoments reference.
     common::Stopwatch sw;
-    ukm->iterations = clustering::Ukmeans::RunOnMoments(
-                          mm, k, seed + r, clustering::Ukmeans::Params(), eng)
+    ukm->iterations = clustering::CkMeans::RunOnMoments(
+                          mm, k, seed + r, clustering::CkMeans::Params(), eng)
                           .iterations;
     ukm->ms += sw.ElapsedMs();
     sw.Reset();
@@ -314,10 +314,10 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // CK-means axis: the UK-means assignment work at the 100% size under the
-  // three pruning levels — direct sweeps, moment reduction only, and
-  // reduction plus Hamerly/Elkan bounds. Labels must agree bit-for-bit
-  // (the levels are exact optimizations); what changes is online time and
+  // CK-means axis: the UK-means assignment work at the 100% size on the
+  // direct reference sweeps and on the product path (moment reduction plus
+  // Hamerly/Elkan bounds). Labels must agree bit-for-bit (the fast path is
+  // an exact optimization); what changes is online time and
   // the (center_distance_evals, bounds_skipped) accounting. This axis
   // records the trajectory; the hard pruning-win gate lives in
   // bench_ckmeans_smoke, which CI greps for CKMEANS RESULT=OK.
@@ -329,21 +329,14 @@ int main(int argc, char** argv) {
                 "iters", "distance_evals", "bounds_skipped", "labels");
     json.Key("ckmeans_speedup");
     json.BeginArray();
-    struct Level {
-      const char* name;
-      bool reduction;
-      bool bounds;
-    };
-    const Level levels[] = {{"direct", false, false},
-                            {"reduced", true, false},
-                            {"reduced+bounds", true, true}};
     std::vector<int> direct_labels;
-    for (const Level& level : levels) {
+    for (const char* level : {"direct", "reduced+bounds"}) {
+      const bool direct = direct_labels.empty();
       double ms = 0.0;
       clustering::CkMeans::Outcome out;
       for (int r = 0; r < runs; ++r) {
         common::Stopwatch sw;
-        if (!level.reduction && !level.bounds) {
+        if (direct) {
           const auto d = clustering::Ukmeans::RunOnMoments(
               largest_mm.view(), k, seed, clustering::Ukmeans::Params(), eng);
           ms += sw.ElapsedMs();
@@ -353,24 +346,21 @@ int main(int argc, char** argv) {
           out.center_distance_evals = d.center_distance_evals;
           out.bounds_skipped = 0;
         } else {
-          clustering::CkMeans::Params cp;
-          cp.reduction = level.reduction;
-          cp.bound_pruning = level.bounds;
-          out = clustering::CkMeans::RunOnMoments(largest_mm.view(), k, seed,
-                                                  cp, eng);
+          out = clustering::CkMeans::RunOnMoments(
+              largest_mm.view(), k, seed, clustering::CkMeans::Params(), eng);
           ms += sw.ElapsedMs();
         }
       }
       ms /= runs;
-      if (direct_labels.empty()) direct_labels = out.labels;
+      if (direct) direct_labels = out.labels;
       const bool labels_match = out.labels == direct_labels;
-      std::printf("%16s | %8.1fms %6d %16lld %16lld %8s\n", level.name, ms,
+      std::printf("%16s | %8.1fms %6d %16lld %16lld %8s\n", level, ms,
                   out.iterations,
                   static_cast<long long>(out.center_distance_evals),
                   static_cast<long long>(out.bounds_skipped),
                   labels_match ? "match" : "MISMATCH!");
       json.BeginObject();
-      json.KV("level", level.name);
+      json.KV("level", level);
       json.KV("n", largest_mm.size());
       json.KV("k", k);
       json.KV("online_ms", ms);
@@ -525,66 +515,61 @@ int main(int argc, char** argv) {
     }
     json.EndArray();
 
-    // Tile-policy axis: the same tiled UK-medoids workload under the three
-    // policy levels — the classic full-table swap sweep, asymmetric gather
-    // tiles, and gather tiles plus warm-row reuse. Labels must agree
-    // bit-for-bit; what changes is kernel evaluations (the swap sweep reads
-    // member x member slabs instead of full tiles) and warm hit rates.
-    // The budget is capped at a quarter of the dense table so the axis
-    // always exercises the tiled backend, even at CI sizes where the
-    // configured budget would let the dense table fit.
+    // Tile-policy row: the same UK-medoids workload on the tiled backend,
+    // whose swap sweep reads member x member slabs (gather tiles) and keeps
+    // medoid rows warm across PAM rounds. Labels must match the dense run;
+    // kernel evaluations are recorded against the iterations * n * (n - 1)
+    // floor a full-table swap sweep would pay. The budget is capped at a
+    // quarter of the dense table so the row always exercises the tiled
+    // backend, even at CI sizes where the configured budget would let the
+    // dense table fit.
     const std::size_t policy_budget = std::min(
         tiled_budget, ds.size() * ds.size() * sizeof(double) / 4);
-    std::printf("\n[tile policy axis: UK-medoids tiled at n=%zu, budget = "
+    std::printf("\n[tile policy row: UK-medoids tiled at n=%zu, budget = "
                 "%zu KiB]\n",
                 ds.size(), policy_budget >> 10);
-    std::printf("%14s | %10s %14s %10s %10s %8s\n", "policy", "online",
-                "kernel_evals", "warm_hits", "warm_miss", "labels");
+    std::printf("%14s | %10s %14s %14s %10s %10s %8s\n", "policy", "online",
+                "kernel_evals", "full_floor", "warm_hits", "warm_miss",
+                "labels");
     json.Key("tile_policies");
     json.BeginArray();
-    struct Policy {
-      const char* name;
-      bool gather;
-      bool warm;
-    };
-    const Policy policies[] = {{"full", false, false},
-                               {"gather", true, false},
-                               {"gather+warm", true, true}};
-    std::vector<int> full_labels;
-    for (const Policy& policy : policies) {
+    {
       engine::EngineConfig pc = engine_config;
       pc.memory_budget_bytes = policy_budget;
-      pc.pairwise_gather_tiles = policy.gather;
-      pc.pairwise_warm_rows = policy.warm;
       clustering::UkMedoids algo(mp);
       algo.set_engine(engine::Engine(pc));
       const clustering::ClusteringResult r = algo.Cluster(ds, k, seed);
-      if (full_labels.empty()) full_labels = r.labels;
-      const bool labels_match = r.labels == full_labels;
-      std::printf("%14s | %8.1fms %14lld %10lld %10lld %8s\n", policy.name,
-                  r.online_ms, static_cast<long long>(r.pair_evaluations),
+      const bool labels_match = r.labels == dense_labels;
+      const int64_t full_sweep_floor = static_cast<int64_t>(r.iterations) *
+                                       static_cast<int64_t>(ds.size()) *
+                                       static_cast<int64_t>(ds.size() - 1);
+      std::printf("%14s | %8.1fms %14lld %14lld %10lld %10lld %8s\n",
+                  "gather+warm", r.online_ms,
+                  static_cast<long long>(r.pair_evaluations),
+                  static_cast<long long>(full_sweep_floor),
                   static_cast<long long>(r.tile_warm_hits),
                   static_cast<long long>(r.tile_warm_misses),
                   labels_match ? "match" : "MISMATCH!");
       json.BeginObject();
-      json.KV("policy", policy.name);
+      json.KV("policy", "gather+warm");
       json.KV("backend", r.pairwise_backend);
       json.KV("n", ds.size());
       json.KV("online_ms", r.online_ms);
       json.KV("iterations", r.iterations);
       json.KV("pair_evaluations", r.pair_evaluations);
+      json.KV("full_sweep_floor", full_sweep_floor);
       json.KV("tile_warm_hits", r.tile_warm_hits);
       json.KV("tile_warm_misses", r.tile_warm_misses);
       json.KV("table_bytes_peak", r.table_bytes_peak);
-      json.KV("labels_match_full", labels_match);
+      json.KV("labels_match_dense", labels_match);
       json.EndObject();
     }
     json.EndArray();
 
     // FDBSCAN pruned-sweep axis on a mix-family dataset: per-dimension pdfs
     // cycle uniform / normal / exponential, exercising every bounded-support
-    // shape the spatial bounds must cover. The pruned sweep must reproduce
-    // the unpruned labels while evaluating strictly fewer pairs.
+    // shape the spatial bounds must cover. The pruned sweep's equivalence to
+    // the unpruned one is checked in tests/test_tile_policies.cc.
     {
       const data::DeterministicDataset det = data::MakeGaussianMixture(
           [&] {
@@ -619,34 +604,27 @@ int main(int argc, char** argv) {
       std::printf("\n[fdbscan pruned-sweep axis: mix-family dataset, "
                   "n=%zu]\n",
                   mix_ds.size());
-      std::printf("%10s | %10s %14s %14s %8s\n", "sweep", "online",
-                  "kernel_evals", "pairs_pruned", "labels");
+      std::printf("%10s | %10s %14s %14s\n", "sweep", "online",
+                  "kernel_evals", "pairs_pruned");
       json.Key("fdbscan_pruning");
       json.BeginArray();
-      std::vector<int> unpruned_labels;
-      for (const bool pruned : {false, true}) {
+      {
         engine::EngineConfig pc = engine_config;
         pc.memory_budget_bytes = tiled_budget;
-        pc.pairwise_pruned_sweeps = pruned;
         clustering::Fdbscan algo(fp);
         algo.set_engine(engine::Engine(pc));
         const clustering::ClusteringResult r = algo.Cluster(mix_ds, k, seed);
-        if (unpruned_labels.empty()) unpruned_labels = r.labels;
-        const bool labels_match = r.labels == unpruned_labels;
-        std::printf("%10s | %8.1fms %14lld %14lld %8s\n",
-                    pruned ? "pruned" : "unpruned", r.online_ms,
+        std::printf("%10s | %8.1fms %14lld %14lld\n", "pruned", r.online_ms,
                     static_cast<long long>(r.pair_evaluations),
-                    static_cast<long long>(r.pairs_pruned),
-                    labels_match ? "match" : "MISMATCH!");
+                    static_cast<long long>(r.pairs_pruned));
         json.BeginObject();
-        json.KV("sweep", pruned ? "pruned" : "unpruned");
+        json.KV("sweep", "pruned");
         json.KV("backend", r.pairwise_backend);
         json.KV("n", mix_ds.size());
         json.KV("online_ms", r.online_ms);
         json.KV("pair_evaluations", r.pair_evaluations);
         json.KV("pairs_pruned", r.pairs_pruned);
         json.KV("clusters_found", r.clusters_found);
-        json.KV("labels_match_unpruned", labels_match);
         json.EndObject();
       }
       json.EndArray();
@@ -666,7 +644,6 @@ int main(int argc, char** argv) {
       for (const char* index : {"off", "rtree", "grid"}) {
         engine::EngineConfig pc = engine_config;
         pc.memory_budget_bytes = tiled_budget;
-        pc.pairwise_pruned_sweeps = true;
         pc.spatial_index = index;
         clustering::Fdbscan algo(fp);
         algo.set_engine(engine::Engine(pc));

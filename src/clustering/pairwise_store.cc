@@ -138,31 +138,11 @@ PairwiseStore::PairwiseStore(const engine::Engine& eng,
   }
 }
 
-namespace {
-
-PairwiseStoreOptions OptionsFromEngine(const engine::Engine& eng,
-                                       std::size_t n) {
-  PairwiseStoreOptions o =
-      PairwiseStoreOptions::FromBudget(eng.memory_budget_bytes(), n);
-  if (!eng.pairwise_warm_rows()) {
-    o.warm_rows = false;
-    o.warm_capacity_bytes = 0;
-    // Re-derive so the tile LRU reclaims the warm carve-out.
-    if (o.backend == PairwiseBackend::kTiled) {
-      o.tile_rows = 0;
-      o.max_cached_tiles = 0;
-      DeriveTileGeometry(o.memory_budget_bytes, n, &o.tile_rows,
-                         &o.max_cached_tiles);
-    }
-  }
-  return o;
-}
-
-}  // namespace
-
 PairwiseStore::PairwiseStore(const engine::Engine& eng,
                              const kernels::PairwiseKernel& kernel)
-    : PairwiseStore(eng, kernel, OptionsFromEngine(eng, kernel.size())) {}
+    : PairwiseStore(eng, kernel,
+                    PairwiseStoreOptions::FromBudget(eng.memory_budget_bytes(),
+                                                     kernel.size())) {}
 
 void PairwiseStore::NoteTableBytes(std::size_t extra_scratch_bytes) {
   const std::size_t live = dense_.size() * sizeof(double) + cache_bytes_ +

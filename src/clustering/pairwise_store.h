@@ -15,9 +15,9 @@
 //   kOnTheFly — a single-row cache: every query recomputes its row, no
 //               table is retained.
 //
-// On top of the backends sit three workload-aware tile policies (see
-// EngineConfig::pairwise_gather_tiles / pairwise_warm_rows /
-// pairwise_pruned_sweeps, all default-on):
+// On top of the backends sit three workload-aware tile policies. They have
+// no off switch; tests check them against the dense table and against
+// VisitUpperTriangle without a skip predicate:
 //
 //   gather tiles  — GatherRows/VisitSymmetricBlock compute asymmetric
 //                   candidate x n (or candidate x candidate) slabs: exactly
@@ -39,10 +39,10 @@
 // (0 = unlimited = dense); tests and benches can force one explicitly.
 // Invariant: because every producer evaluates a pair as (min(i, j),
 // max(i, j)), each entry is a pure function of that pair, and a pruned pair
-// is skipped only when its exact value is proven, all backends and all
-// policy combinations serve bit-identical values — so every clustering
-// built on the store is identical across backends, tile policies, and
-// thread counts; only memory and recompute cost change.
+// is skipped only when its exact value is proven, all backends serve
+// bit-identical values to the unpruned sweeps — so every clustering built
+// on the store is identical across backends and thread counts; only memory
+// and recompute cost change.
 //
 // Thread-safety: the random-access API (Value/Row/GatherRows) is for the
 // algorithm's serial control thread; the Visit* sweeps parallelize
@@ -106,8 +106,7 @@ class PairwiseStore {
   /// objects / sample cache must outlive the store.
   PairwiseStore(const engine::Engine& eng, const kernels::PairwiseKernel& kernel,
                 const PairwiseStoreOptions& options);
-  /// Store with options derived from eng.memory_budget_bytes() and the
-  /// engine's tile-policy knobs.
+  /// Store with options derived from eng.memory_budget_bytes().
   PairwiseStore(const engine::Engine& eng,
                 const kernels::PairwiseKernel& kernel);
 

@@ -15,7 +15,7 @@
 // dense working table exists only under the dense backend. NN-chain tip
 // rows fetched on budgeted backends are retained across merge rounds by
 // the store's warm-row cache (one BeginGeneration per merge). Clusterings
-// are bit-identical across backends, tile policies, and thread counts.
+// are bit-identical across backends and thread counts.
 #ifndef UCLUST_CLUSTERING_UAHC_H_
 #define UCLUST_CLUSTERING_UAHC_H_
 

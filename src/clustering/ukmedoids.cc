@@ -50,10 +50,9 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   std::vector<double> med_rows;  // k x n: row c = d(medoids[c], .)
   std::vector<double> cand_cost(n, 0.0);
   // The gather sweep only pays off when rows would otherwise be recomputed;
-  // on the dense backend the legacy sweep reads the resident table
-  // zero-copy, so the block gather would be pure copy overhead.
-  const bool gather_tiles = eng.pairwise_gather_tiles() &&
-                            store.backend() != PairwiseBackend::kDense;
+  // on the dense backend the full sweep reads the resident table zero-copy,
+  // so the block gather would be pure copy overhead.
+  const bool gather_tiles = store.backend() != PairwiseBackend::kDense;
   // Indexed assignment (recompute backends only — dense rows are free after
   // Warm()): a per-iteration spatial index over the k medoid region boxes
   // answers, per object, which medoids could be nearest. The true nearest
@@ -188,8 +187,8 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
             });
       }
     } else {
-      // Legacy full sweep: every row visited (tile faults included), each
-      // object summed over its own cluster's member columns.
+      // Dense full sweep: every resident row visited, each object summed
+      // over its own cluster's member columns.
       store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
         double cost = 0.0;
         for (std::size_t other : members[result.labels[i]]) {

@@ -13,9 +13,8 @@
 // iterations by the warm-row cache — see PairwiseStore::BeginGeneration),
 // and the swap sweep reads per-cluster member x member slabs rather than
 // faulting full row tiles. Table memory stays bounded at any n and
-// clusterings are bit-identical across backends, tile policies
-// (EngineConfig::pairwise_gather_tiles / pairwise_warm_rows), and thread
-// counts; see docs/memory-backends.md.
+// clusterings are bit-identical across backends and thread counts; see
+// docs/memory-backends.md.
 #ifndef UCLUST_CLUSTERING_UKMEDOIDS_H_
 #define UCLUST_CLUSTERING_UKMEDOIDS_H_
 

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "clustering/simd/simd.h"
-#include "common/cli.h"
 
 namespace uclust::engine {
 
@@ -45,11 +44,6 @@ Engine::Engine(const EngineConfig& config) {
   memory_budget_bytes_ = config.memory_budget_bytes;
   moment_chunk_rows_ = config.moment_chunk_rows;
   sample_chunk_rows_ = config.sample_chunk_rows;
-  pairwise_gather_tiles_ = config.pairwise_gather_tiles;
-  pairwise_warm_rows_ = config.pairwise_warm_rows;
-  pairwise_pruned_sweeps_ = config.pairwise_pruned_sweeps;
-  ukmeans_ckmeans_reduction_ = config.ukmeans_ckmeans_reduction;
-  ukmeans_bound_pruning_ = config.ukmeans_bound_pruning;
   ukmeans_minibatch_size_ = config.ukmeans_minibatch_size;
   spatial_index_ = config.spatial_index;
   ApplySimdIsa(config.simd_isa);
@@ -72,8 +66,8 @@ std::string Engine::simd_isa() const {
 
 namespace {
 
-// Strict value grammars shared by every knob. Unlike ArgParser's lenient
-// getters, a malformed value is an error, not a silent default.
+// Strict integer grammar shared by every integer knob. Unlike ArgParser's
+// lenient getters, a malformed value is an error, not a silent default.
 common::Status ParseKnobInt(const std::string& key, const std::string& value,
                             int64_t min, int64_t* out) {
   char* end = nullptr;
@@ -87,27 +81,11 @@ common::Status ParseKnobInt(const std::string& key, const std::string& value,
   return common::Status::Ok();
 }
 
-common::Status ParseKnobBool(const std::string& key, const std::string& value,
-                             bool* out) {
-  if (value == "true" || value == "1" || value == "yes") {
-    *out = true;
-    return common::Status::Ok();
-  }
-  if (value == "false" || value == "0" || value == "no") {
-    *out = false;
-    return common::Status::Ok();
-  }
-  return common::Status::InvalidArgument(
-      "engine knob '" + key + "': expected true/1/yes or false/0/no, got '" +
-      value + "'");
-}
-
 }  // namespace
 
 common::Status ApplyEngineKnob(const std::string& key,
                                const std::string& value, EngineConfig* cfg) {
   int64_t n = 0;
-  bool b = false;
   if (key == "threads") {
     UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
     cfg->num_threads = static_cast<int>(n);
@@ -127,21 +105,6 @@ common::Status ApplyEngineKnob(const std::string& key,
   } else if (key == "sample_chunk_rows") {
     UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
     cfg->sample_chunk_rows = static_cast<std::size_t>(n);
-  } else if (key == "pairwise_gather_tiles") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->pairwise_gather_tiles = b;
-  } else if (key == "pairwise_warm_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->pairwise_warm_rows = b;
-  } else if (key == "pairwise_pruned_sweeps") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->pairwise_pruned_sweeps = b;
-  } else if (key == "ukmeans_ckmeans_reduction") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->ukmeans_ckmeans_reduction = b;
-  } else if (key == "ukmeans_bound_pruning") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->ukmeans_bound_pruning = b;
   } else if (key == "ukmeans_minibatch_size") {
     UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
     cfg->ukmeans_minibatch_size = static_cast<std::size_t>(n);
@@ -176,30 +139,11 @@ const std::vector<std::string>& EngineKnobNames() {
       "memory_budget_bytes",
       "moment_chunk_rows",
       "sample_chunk_rows",
-      "pairwise_gather_tiles",
-      "pairwise_warm_rows",
-      "pairwise_pruned_sweeps",
-      "ukmeans_ckmeans_reduction",
-      "ukmeans_bound_pruning",
       "ukmeans_minibatch_size",
       "simd_isa",
       "spatial_index",
   };
   return *names;
-}
-
-EngineConfig EngineConfigFromArgs(const common::ArgParser& args) {
-  EngineConfig config;
-  for (const std::string& key : EngineKnobNames()) {
-    if (!args.Has(key)) continue;
-    const common::Status st =
-        ApplyEngineKnob(key, args.GetString(key, ""), &config);
-    if (!st.ok()) {
-      std::fprintf(stderr, "engine: %s (keeping the default)\n",
-                   st.message().c_str());
-    }
-  }
-  return config;
 }
 
 }  // namespace uclust::engine

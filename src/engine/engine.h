@@ -23,10 +23,6 @@
 #include "common/status.h"
 #include "engine/thread_pool.h"
 
-namespace uclust::common {
-class ArgParser;
-}  // namespace uclust::common
-
 namespace uclust::engine {
 
 /// User-facing execution knobs.
@@ -57,38 +53,6 @@ struct EngineConfig {
   /// chunk/prefetch granularity and the span-validity window, never the
   /// served sample bytes.
   std::size_t sample_chunk_rows = 0;
-  /// Workload-aware PairwiseStore tile policies. All three are pure
-  /// recompute/memory optimizations: clusterings are bit-identical with any
-  /// combination of them, on every backend, at any thread count.
-  ///
-  /// Gather tiles: candidate x member slabs for the UK-medoids swap sweep
-  /// (and batched candidate-row gathers) are computed asymmetrically —
-  /// only the entries the sweep reads — instead of faulting full row tiles.
-  bool pairwise_gather_tiles = true;
-  /// Warm rows: gathered rows are retained across consumer iterations (PAM
-  /// rounds, Lance-Williams merges) in a budget-bounded warm cache with a
-  /// generation/invalidation protocol (see PairwiseStore::BeginGeneration).
-  bool pairwise_warm_rows = true;
-  /// Pruned sweeps: streaming pair sweeps (the FDBSCAN distance-probability
-  /// sweep) skip pairs whose value is provably 0 under cheap spatial bounds
-  /// (clustering::PairwiseBoundIndex) before any kernel evaluation.
-  bool pairwise_pruned_sweeps = true;
-  /// UK-means fast-path knobs (the CK-means moment reduction; see
-  /// clustering/ckmeans.h). Both toggles are pure recompute/memory
-  /// optimizations under the library determinism contract: labels,
-  /// objective, and iteration count are bit-identical to the direct
-  /// UK-means sweeps with any combination, at any thread count.
-  ///
-  /// Reduction: run the Lloyd loop on per-object expected centroids plus an
-  /// additive constant (König-Huygens) copied out of the MomentView once —
-  /// on a Mapped (out-of-core) store this replaces per-sweep chunk faults
-  /// with one sequential pass and ~(m+1)/(3m+1) of the resident bytes.
-  bool ukmeans_ckmeans_reduction = true;
-  /// Bound pruning: maintain Hamerly-style per-object upper/lower bounds
-  /// from per-center drift norms and skip provably unchanged assignments,
-  /// making late sweeps O(n) instead of O(n k) distance evaluations
-  /// (counted by ClusteringResult::center_distance_evals/bounds_skipped).
-  bool ukmeans_bound_pruning = true;
   /// Mini-batch rows per streamed batch for the file-backed CK-means driver
   /// (clustering::CkMeans::ClusterFile). 0 = auto: keep the reduced
   /// representation resident when it fits memory_budget_bytes, otherwise
@@ -140,16 +104,6 @@ class Engine {
   std::size_t moment_chunk_rows() const { return moment_chunk_rows_; }
   /// Mapped sample-store chunk-rows hint (0 = budget-derived/default).
   std::size_t sample_chunk_rows() const { return sample_chunk_rows_; }
-  /// Asymmetric gather-tile policy for PairwiseStore consumers.
-  bool pairwise_gather_tiles() const { return pairwise_gather_tiles_; }
-  /// Iteration-scoped warm-row reuse policy for PairwiseStore.
-  bool pairwise_warm_rows() const { return pairwise_warm_rows_; }
-  /// Bound-based pair pruning policy for streaming pairwise sweeps.
-  bool pairwise_pruned_sweeps() const { return pairwise_pruned_sweeps_; }
-  /// CK-means moment-reduction fast path for UK-means.
-  bool ukmeans_ckmeans_reduction() const { return ukmeans_ckmeans_reduction_; }
-  /// Hamerly/Elkan bound pruning for the CK-means assignment sweeps.
-  bool ukmeans_bound_pruning() const { return ukmeans_bound_pruning_; }
   /// Mini-batch size for the file-backed CK-means driver (0 = auto).
   std::size_t ukmeans_minibatch_size() const {
     return ukmeans_minibatch_size_;
@@ -169,11 +123,6 @@ class Engine {
   std::size_t memory_budget_bytes_ = 0;
   std::size_t moment_chunk_rows_ = 0;
   std::size_t sample_chunk_rows_ = 0;
-  bool pairwise_gather_tiles_ = true;
-  bool pairwise_warm_rows_ = true;
-  bool pairwise_pruned_sweeps_ = true;
-  bool ukmeans_ckmeans_reduction_ = true;
-  bool ukmeans_bound_pruning_ = true;
   std::size_t ukmeans_minibatch_size_ = 0;
   std::string spatial_index_ = "auto";
   std::shared_ptr<ThreadPool> pool_;
@@ -191,11 +140,6 @@ class Engine {
 ///   memory_budget_mb          convenience form; sets the bytes field
 ///   moment_chunk_rows         int >= 0 (0 = format default)
 ///   sample_chunk_rows         int >= 0 (0 = budget-derived/default)
-///   pairwise_gather_tiles     bool (true/1/yes | false/0/no)
-///   pairwise_warm_rows        bool
-///   pairwise_pruned_sweeps    bool
-///   ukmeans_ckmeans_reduction bool
-///   ukmeans_bound_pruning     bool
 ///   ukmeans_minibatch_size    int >= 0 (0 = auto)
 ///   simd_isa                  auto|scalar|avx2|neon (name validated here;
 ///                             availability resolves at Engine construction)
@@ -212,12 +156,6 @@ common::Status ApplyEngineKnob(const std::string& key,
 /// (memory_budget_mb before memory_budget_bytes, so flag parsing preserves
 /// the historical "bytes win when both are given" rule).
 const std::vector<std::string>& EngineKnobNames();
-
-/// Reads every ApplyEngineKnob key present in `args` (see the key table
-/// above). Invalid values keep the default and warn on stderr — the
-/// legacy lenient behavior; new code should prefer
-/// common::ParseEngineFlags, which surfaces them as errors.
-EngineConfig EngineConfigFromArgs(const common::ArgParser& args);
 
 }  // namespace uclust::engine
 

@@ -17,27 +17,27 @@ std::span<const uncertain::UncertainObject> FileObjectSource::NextBatch(
   return batch_;
 }
 
-common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
-    const std::string& path, const engine::Engine& eng,
-    std::size_t batch_size, std::vector<int>* labels,
-    std::string* dataset_name) {
-  BinaryDatasetReader reader;
-  UCLUST_RETURN_NOT_OK(reader.Open(path));
-  FileObjectSource source(&reader);
+namespace {
+
+// Streams every object of the opened `reader` into resident moment columns,
+// then reads the labels and name the caller asked for.
+common::Result<uncertain::MomentMatrix> BuildResidentMoments(
+    BinaryDatasetReader* reader, const std::string& path,
+    const engine::Engine& eng, std::size_t batch_size,
+    std::vector<int>* labels, std::string* dataset_name) {
+  FileObjectSource source(reader);
   uncertain::MomentMatrix mm =
       uncertain::DatasetBuilder::BuildMoments(&source, eng, batch_size);
   UCLUST_RETURN_NOT_OK(source.status());
-  if (mm.size() != reader.size()) {
+  if (mm.size() != reader->size()) {
     return common::Status::Internal(
         path + ": ingested " + std::to_string(mm.size()) + " of " +
-        std::to_string(reader.size()) + " objects");
+        std::to_string(reader->size()) + " objects");
   }
-  if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader.ReadLabels(labels));
-  if (dataset_name != nullptr) *dataset_name = reader.name();
+  if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader->ReadLabels(labels));
+  if (dataset_name != nullptr) *dataset_name = reader->name();
   return mm;
 }
-
-namespace {
 
 // Writes the .umom sidecar of `dataset_path` straight to `sidecar_path`:
 // reader batches -> DatasetBuilder spill mode -> SidecarWriter.
@@ -69,6 +69,16 @@ common::Status WriteMomentSidecar(const std::string& dataset_path,
 }
 
 }  // namespace
+
+common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
+    const std::string& path, const engine::Engine& eng,
+    std::size_t batch_size, std::vector<int>* labels,
+    std::string* dataset_name) {
+  BinaryDatasetReader reader;
+  UCLUST_RETURN_NOT_OK(reader.Open(path));
+  return BuildResidentMoments(&reader, path, eng, batch_size, labels,
+                              dataset_name);
+}
 
 common::Status BuildMomentSidecar(const std::string& dataset_path,
                                   const std::string& sidecar_path,
@@ -178,19 +188,11 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   // never requires materializing anything.
   const std::size_t row_bytes = SidecarRowBytes(kMomentSidecar, m, 1);
   if (!UseMappedBackend(options.backend, eng, n * row_bytes)) {
-    FileObjectSource source(&reader);
-    uncertain::MomentMatrix mm = uncertain::DatasetBuilder::BuildMoments(
-        &source, eng, options.batch_size);
-    UCLUST_RETURN_NOT_OK(source.status());
-    if (mm.size() != n) {
-      return common::Status::Internal(
-          path + ": ingested " + std::to_string(mm.size()) + " of " +
-          std::to_string(n) + " objects");
-    }
-    if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader.ReadLabels(labels));
-    if (dataset_name != nullptr) *dataset_name = reader.name();
+    auto mm = BuildResidentMoments(&reader, path, eng, options.batch_size,
+                                   labels, dataset_name);
+    if (!mm.ok()) return mm.status();
     return uncertain::MomentStorePtr(
-        new uncertain::ResidentMomentStore(std::move(mm)));
+        new uncertain::ResidentMomentStore(std::move(mm).ValueOrDie()));
   }
 
   SidecarHeader want;

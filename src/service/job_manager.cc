@@ -32,9 +32,6 @@ common::Result<clustering::ClusteringResult> RunClusteringJob(
     clustering::CkMeans::Params params;
     params.max_iters = spec.max_iters;
     params.init = clustering::InitStrategy::kRandom;
-    params.reduction = engine_cfg.ukmeans_ckmeans_reduction;
-    params.bound_pruning = engine_cfg.ukmeans_bound_pruning;
-    params.minibatch_size = engine_cfg.ukmeans_minibatch_size;
     return clustering::CkMeans::ClusterFile(dataset.path, spec.k, spec.seed,
                                             params, eng);
   }
@@ -111,6 +108,16 @@ common::Result<std::string> JobManager::Submit(JobSpec spec,
                                                const std::string& request_id) {
   common::Result<DatasetInfo> dataset = registry_->Get(spec.dataset_id);
   if (!dataset.ok()) return dataset.status();
+  // Checked here, once, for every algorithm: several of them guard k <= n
+  // only with an assert, which a release build compiles out.
+  const std::size_t n = dataset.ValueOrDie().n;
+  if (static_cast<std::size_t>(spec.k) > n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++metrics_.rejected;
+    return common::Status::InvalidArgument(
+        "job: k=" + std::to_string(spec.k) + " exceeds the dataset's n=" +
+        std::to_string(n) + " objects");
+  }
 
   const std::size_t global = cfg_.global_budget_bytes;
   std::size_t budget = spec.engine.memory_budget_bytes;

@@ -87,7 +87,7 @@ struct JobSnapshot {
 /// Counters + gauges for GET /v1/metrics. Monotonic unless noted.
 struct JobMetrics {
   std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;  // queue-full + over-global-budget submits
+  std::uint64_t rejected = 0;  // k > n, queue-full, over-global-budget submits
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t cancelled = 0;
@@ -118,9 +118,10 @@ class JobManager {
   void Stop();
 
   /// Validates against the registry + admission rules and enqueues.
-  /// Returns the job id, or: NotFound (unknown dataset), OutOfRange
-  /// (effective budget exceeds the global pool, or queue full — the
-  /// message distinguishes them).
+  /// Returns the job id, or: NotFound (unknown dataset), InvalidArgument
+  /// (k exceeds the dataset's object count), OutOfRange (effective budget
+  /// exceeds the global pool, or queue full — the message distinguishes
+  /// them).
   common::Result<std::string> Submit(JobSpec spec,
                                      const std::string& request_id);
 

@@ -1,9 +1,9 @@
 // Tests for the CK-means fast path (clustering/ckmeans.h): reduction and
-// bound pruning must reproduce the direct UK-means sweeps bit-for-bit on
-// every moment backend, the maintained bounds must actually bound, the
-// evaluation counters must satisfy their accounting contract, and the
-// file-backed mini-batch driver must match the fully ingested run for any
-// batch size.
+// bound pruning must reproduce the direct UK-means sweeps
+// (Ukmeans::RunOnMoments) bit-for-bit on every moment backend, the
+// maintained bounds must actually bound, the evaluation counters must
+// satisfy their accounting contract, and the file-backed mini-batch driver
+// must match the fully ingested run for any batch size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,11 +46,13 @@ data::UncertainDataset TestDataset(std::size_t n, std::size_t m, int classes,
   return data::UncertaintyModel(d, up, seed + 1).Uncertain();
 }
 
-engine::Engine EngineWith(int threads, std::size_t budget = 0) {
+engine::Engine EngineWith(int threads, std::size_t budget = 0,
+                          std::size_t minibatch = 0) {
   engine::EngineConfig config;
   config.num_threads = threads;
   config.block_size = 128;
   config.memory_budget_bytes = budget;
+  config.ukmeans_minibatch_size = minibatch;
   return engine::Engine(config);
 }
 
@@ -88,7 +90,7 @@ TEST(CkmeansReduction, MatchesDirectOnChunkedMappedBackend) {
   const auto direct = Ukmeans::RunOnMoments(flat, 4, 5, Ukmeans::Params(),
                                             EngineWith(1));
   for (int threads : kThreadCounts) {
-    CkMeans::Params p;  // reduction + bounds on
+    CkMeans::Params p;
     const auto out =
         CkMeans::RunOnMoments(mapped, 4, 5, p, EngineWith(threads));
     EXPECT_EQ(out.labels, direct.labels) << "threads=" << threads;
@@ -99,32 +101,21 @@ TEST(CkmeansReduction, MatchesDirectOnChunkedMappedBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity of the knob matrix against the direct reference.
+// Bit-identity against the direct reference.
 
-TEST(Ckmeans, EveryKnobComboMatchesDirectPath) {
+TEST(Ckmeans, MatchesDirectPathAtEveryThreadCount) {
   const auto ds = TestDataset(500, 3, 4, 25);
   const auto mm = ds.moments().view();
   const auto direct =
       Ukmeans::RunOnMoments(mm, 4, 9, Ukmeans::Params(), EngineWith(1));
-  for (const bool reduction : {false, true}) {
-    for (const bool bounds : {false, true}) {
-      for (int threads : kThreadCounts) {
-        CkMeans::Params p;
-        p.reduction = reduction;
-        p.bound_pruning = bounds;
-        const auto out =
-            CkMeans::RunOnMoments(mm, 4, 9, p, EngineWith(threads));
-        EXPECT_EQ(out.labels, direct.labels)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.objective, direct.objective)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.iterations, direct.iterations)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-      }
-    }
+  for (int threads : kThreadCounts) {
+    const auto out =
+        CkMeans::RunOnMoments(mm, 4, 9, CkMeans::Params(), EngineWith(threads));
+    EXPECT_EQ(out.labels, direct.labels) << "threads=" << threads;
+    EXPECT_EQ(out.objective, direct.objective) << "threads=" << threads;
+    EXPECT_EQ(out.iterations, direct.iterations) << "threads=" << threads;
+    EXPECT_LT(out.center_distance_evals, direct.center_distance_evals)
+        << "threads=" << threads;
   }
 }
 
@@ -134,15 +125,12 @@ TEST(Ckmeans, PlusPlusSeedingMatchesDirectPath) {
   Ukmeans::Params dp;
   dp.init = InitStrategy::kPlusPlus;
   const auto direct = Ukmeans::RunOnMoments(mm, 4, 11, dp, EngineWith(1));
-  for (const bool reduction : {false, true}) {
-    CkMeans::Params p;
-    p.init = InitStrategy::kPlusPlus;
-    p.reduction = reduction;
-    const auto out = CkMeans::RunOnMoments(mm, 4, 11, p, EngineWith(2));
-    EXPECT_EQ(out.labels, direct.labels) << "reduction=" << reduction;
-    EXPECT_EQ(out.objective, direct.objective) << "reduction=" << reduction;
-    EXPECT_EQ(out.iterations, direct.iterations) << "reduction=" << reduction;
-  }
+  CkMeans::Params p;
+  p.init = InitStrategy::kPlusPlus;
+  const auto out = CkMeans::RunOnMoments(mm, 4, 11, p, EngineWith(2));
+  EXPECT_EQ(out.labels, direct.labels);
+  EXPECT_EQ(out.objective, direct.objective);
+  EXPECT_EQ(out.iterations, direct.iterations);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,25 +188,19 @@ TEST(Ckmeans, CountersSatisfyAccountingContract) {
     return static_cast<int64_t>(sweeps) * n * k;
   };
 
-  CkMeans::Params off;
-  off.bound_pruning = false;
-  const auto unbounded = CkMeans::RunOnMoments(mm, k, 15, off, EngineWith(2));
-  EXPECT_EQ(unbounded.center_distance_evals,
-            expected_slots(unbounded.iterations, off.max_iters));
-  EXPECT_EQ(unbounded.bounds_skipped, 0);
-
-  CkMeans::Params on;
-  const auto bounded = CkMeans::RunOnMoments(mm, k, 15, on, EngineWith(2));
-  EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
-            expected_slots(bounded.iterations, on.max_iters));
-  EXPECT_LT(bounded.center_distance_evals, unbounded.center_distance_evals);
-  EXPECT_GT(bounded.bounds_skipped, 0);
-
   // Direct reference: counts every pair every sweep.
   const auto direct =
       Ukmeans::RunOnMoments(mm, k, 15, Ukmeans::Params(), EngineWith(2));
   EXPECT_EQ(direct.center_distance_evals,
             expected_slots(direct.iterations, Ukmeans::Params().max_iters));
+
+  CkMeans::Params on;
+  const auto bounded = CkMeans::RunOnMoments(mm, k, 15, on, EngineWith(2));
+  EXPECT_EQ(bounded.iterations, direct.iterations);
+  EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
+            expected_slots(bounded.iterations, on.max_iters));
+  EXPECT_LT(bounded.center_distance_evals, direct.center_distance_evals);
+  EXPECT_GT(bounded.bounds_skipped, 0);
   // The bounded run's total accounts for exactly the direct run's slots.
   EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
             direct.center_distance_evals);
@@ -242,25 +224,15 @@ TEST(Ckmeans, CountersMonotoneInIterationCap) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine knob routing and the registry entry.
+// Ukmeans::Cluster routing and the registry entry.
 
-TEST(Ckmeans, EngineKnobsRouteUkmeansWithoutChangingResults) {
+TEST(Ckmeans, UkmeansClusterRunsFastPathWithDirectResults) {
   const auto ds = TestDataset(500, 3, 4, 35);
-  const Ukmeans algo;
+  const auto direct = Ukmeans::RunOnMoments(
+      ds.moments().view(), 4, 19, Ukmeans::Params(), EngineWith(1));
 
-  engine::EngineConfig direct_cfg;
-  direct_cfg.num_threads = 2;
-  direct_cfg.ukmeans_ckmeans_reduction = false;
-  direct_cfg.ukmeans_bound_pruning = false;
-  Ukmeans direct_algo;
-  direct_algo.set_engine(engine::Engine(direct_cfg));
-  const ClusteringResult direct = direct_algo.Cluster(ds, 4, 19);
-  EXPECT_EQ(direct.bounds_skipped, 0);
-
-  engine::EngineConfig fast_cfg;
-  fast_cfg.num_threads = 2;
   Ukmeans fast_algo;
-  fast_algo.set_engine(engine::Engine(fast_cfg));
+  fast_algo.set_engine(EngineWith(2));
   const ClusteringResult fast = fast_algo.Cluster(ds, 4, 19);
 
   EXPECT_EQ(fast.labels, direct.labels);
@@ -268,6 +240,8 @@ TEST(Ckmeans, EngineKnobsRouteUkmeansWithoutChangingResults) {
   EXPECT_EQ(fast.iterations, direct.iterations);
   EXPECT_LT(fast.center_distance_evals, direct.center_distance_evals);
   EXPECT_GT(fast.bounds_skipped, 0);
+  EXPECT_EQ(fast.center_distance_evals + fast.bounds_skipped,
+            direct.center_distance_evals);
 }
 
 TEST(Ckmeans, RegistryEntryMatchesUkmeans) {
@@ -328,10 +302,8 @@ TEST(CkmeansClusterFile, EveryMinibatchSizeMatchesIngestedRun) {
   for (const std::size_t batch : {std::size_t{37}, std::size_t{64},
                                   std::size_t{256}, std::size_t{1000}}) {
     for (int threads : {1, 8}) {
-      CkMeans::Params p;
-      p.minibatch_size = batch;
-      auto r =
-          CkMeans::ClusterFile(f.path, f.k, f.seed, p, EngineWith(threads));
+      auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
+                                    EngineWith(threads, 0, batch));
       ASSERT_TRUE(r.ok()) << "batch=" << batch << " threads=" << threads;
       const ClusteringResult& out = r.ValueOrDie();
       EXPECT_EQ(out.labels, f.direct.labels)
@@ -371,8 +343,8 @@ TEST(CkmeansClusterFile, RejectsPlusPlusInEpochMode) {
   ASSERT_TRUE(data::WriteSyntheticDataset(gp, path, "pp").ok());
   CkMeans::Params p;
   p.init = InitStrategy::kPlusPlus;
-  p.minibatch_size = 32;  // force epoch streaming
-  const auto r = CkMeans::ClusterFile(path, 2, 1, p);
+  // A forced mini-batch size selects epoch streaming.
+  const auto r = CkMeans::ClusterFile(path, 2, 1, p, EngineWith(1, 0, 32));
   EXPECT_FALSE(r.ok());
   std::remove(path.c_str());
 }

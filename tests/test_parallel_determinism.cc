@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
 #include "engine/engine.h"
+#include "io/moment_file.h"
 #include "io/sample_file.h"
 #include "uncertain/sample_store.h"
 
@@ -67,46 +69,41 @@ TEST(ParallelDeterminism, UkmeansBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// CK-means knob sweep: every (reduction, bound_pruning) combination must
-// reproduce the direct UK-means sweeps bit-for-bit at any thread count.
-// The evaluation/skip counters are a pure function of the (deterministic)
-// pruning decisions, so they too must be thread-count independent — they
-// legitimately differ ACROSS knob combinations, never across threads.
-TEST(ParallelDeterminism, CkmeansKnobSweepBitIdenticalAcrossThreadCounts) {
+// CK-means sweep over moment backends x thread counts: the reduced,
+// bound-pruned path must reproduce the direct UK-means sweeps bit-for-bit
+// whether it reduces resident columns or a chunked mapped .umom view. The
+// evaluation/skip counters are a pure function of the (deterministic)
+// pruning decisions, so they must be identical across threads and backends.
+TEST(ParallelDeterminism, CkmeansBackendSweepBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(700, 4, 5, 31);
-  const auto direct = Ukmeans::RunOnMoments(ds.moments(), 5, 7,
-                                            Ukmeans::Params(), EngineWith(1));
-  for (const bool reduction : {false, true}) {
-    for (const bool bounds : {false, true}) {
-      CkMeans::Params p;
-      p.reduction = reduction;
-      p.bound_pruning = bounds;
-      CkMeans::Outcome serial;
-      for (int threads : kThreadCounts) {
-        const auto out =
-            CkMeans::RunOnMoments(ds.moments(), 5, 7, p, EngineWith(threads));
-        EXPECT_EQ(out.labels, direct.labels)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.objective, direct.objective)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.iterations, direct.iterations)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        if (threads == 1) {
-          serial = out;
-        } else {
-          EXPECT_EQ(out.center_distance_evals, serial.center_distance_evals)
-              << "reduction=" << reduction << " bounds=" << bounds
-              << " threads=" << threads;
-          EXPECT_EQ(out.bounds_skipped, serial.bounds_skipped)
-              << "reduction=" << reduction << " bounds=" << bounds
-              << " threads=" << threads;
-        }
-      }
+  const auto resident = ds.moments().view();
+  const std::string sidecar = ::testing::TempDir() + "/ckmeans_sweep.umom";
+  ASSERT_TRUE(io::WriteMomentFile(resident, sidecar, /*chunk_rows=*/64).ok());
+  auto mapped_store = io::MappedMomentStore::Open(sidecar);
+  ASSERT_TRUE(mapped_store.ok());
+  const auto mapped = mapped_store.ValueOrDie()->view();
+  const auto direct = Ukmeans::RunOnMoments(resident, 5, 7, Ukmeans::Params(),
+                                            EngineWith(1));
+  const auto serial =
+      CkMeans::RunOnMoments(resident, 5, 7, CkMeans::Params(), EngineWith(1));
+  for (const bool use_mapped : {false, true}) {
+    for (int threads : kThreadCounts) {
+      const auto out =
+          CkMeans::RunOnMoments(use_mapped ? mapped : resident, 5, 7,
+                                CkMeans::Params(), EngineWith(threads));
+      EXPECT_EQ(out.labels, direct.labels)
+          << "mapped=" << use_mapped << " threads=" << threads;
+      EXPECT_EQ(out.objective, direct.objective)
+          << "mapped=" << use_mapped << " threads=" << threads;
+      EXPECT_EQ(out.iterations, direct.iterations)
+          << "mapped=" << use_mapped << " threads=" << threads;
+      EXPECT_EQ(out.center_distance_evals, serial.center_distance_evals)
+          << "mapped=" << use_mapped << " threads=" << threads;
+      EXPECT_EQ(out.bounds_skipped, serial.bounds_skipped)
+          << "mapped=" << use_mapped << " threads=" << threads;
     }
   }
+  std::remove(sidecar.c_str());
 }
 
 // The SIMD dispatch path is a second "parallelism" axis with the same
@@ -131,9 +128,7 @@ TEST(ParallelDeterminism, SimdIsaSweepBitIdenticalAcrossThreadCounts) {
     config.simd_isa = isa;
     return engine::Engine(config);
   };
-  CkMeans::Params p;
-  p.reduction = true;
-  p.bound_pruning = true;
+  const CkMeans::Params p;
   const auto baseline =
       CkMeans::RunOnMoments(ds.moments(), 5, 7, p, with("scalar", 1));
   for (const std::string& isa : isas) {
@@ -369,54 +364,48 @@ TEST(ParallelDeterminism, TiledBackendBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The tile policies (gather tiles, warm rows, pruned sweeps) are pure
-// recompute optimizations: every policy combination must reproduce the
-// policy-free serial clustering bit-for-bit, on the tiled backend, at any
-// thread count. (Evaluation counts legitimately differ ACROSS policies —
-// that is the point — but not across thread counts at a fixed policy.)
+// The tile policies (gather tiles, warm rows, pruned sweeps) run wherever
+// the backend recomputes: every backend, at any thread count, must
+// reproduce the serial dense-table clustering bit-for-bit. (Evaluation
+// counts legitimately differ ACROSS backends — that is the point — but not
+// across thread counts on a fixed backend.)
 TEST(ParallelDeterminism, TilePoliciesBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(140, 3, 3, 43);
-  const std::size_t budget = 10 * ds.size() * sizeof(double);
-  const auto make = [&](const std::string& name, int threads, bool gather,
-                        bool warm, bool pruned) {
+  const std::size_t row_bytes = ds.size() * sizeof(double);
+  const auto make = [&](const std::string& name, int threads,
+                        std::size_t budget) {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.pairwise_gather_tiles = gather;
-    config.pairwise_warm_rows = warm;
-    config.pairwise_pruned_sweeps = pruned;
     return MakeClustererOrDie(name, engine::Engine(config));
   };
   for (const std::string& name :
        {std::string("UK-medoids"), std::string("UAHC"),
         std::string("FDBSCAN")}) {
-    const ClusteringResult baseline =
-        make(name, 1, false, false, false)->Cluster(ds, 3, 13);
-    for (const bool gather : {false, true}) {
-      for (const bool warm : {false, true}) {
-        for (const bool pruned : {false, true}) {
-          ClusteringResult serial;
-          for (int threads : {1, 2, 8}) {
-            const ClusteringResult out =
-                make(name, threads, gather, warm, pruned)->Cluster(ds, 3, 13);
-            EXPECT_EQ(out.labels, baseline.labels)
-                << name << " threads=" << threads << " gather=" << gather
-                << " warm=" << warm << " pruned=" << pruned;
-            EXPECT_EQ(out.iterations, baseline.iterations) << name;
-            if (!std::isnan(baseline.objective)) {
-              EXPECT_EQ(out.objective, baseline.objective) << name;
-            }
-            if (threads == 1) {
-              serial = out;
-            } else {
-              // Recompute effort itself is thread-count independent.
-              EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
-                  << name << " threads=" << threads;
-              EXPECT_EQ(out.tile_warm_hits, serial.tile_warm_hits) << name;
-              EXPECT_EQ(out.pairs_pruned, serial.pairs_pruned) << name;
-            }
-          }
+    const ClusteringResult baseline = make(name, 1, 0)->Cluster(ds, 3, 13);
+    EXPECT_EQ(baseline.pairwise_backend, "dense") << name;
+    // Dense, tiled (~10 rows), and on-the-fly (below two rows).
+    for (const std::size_t budget :
+         {std::size_t{0}, 10 * row_bytes, std::size_t{1}}) {
+      ClusteringResult serial;
+      for (int threads : {1, 2, 8}) {
+        const ClusteringResult out =
+            make(name, threads, budget)->Cluster(ds, 3, 13);
+        EXPECT_EQ(out.labels, baseline.labels)
+            << name << " threads=" << threads << " budget=" << budget;
+        EXPECT_EQ(out.iterations, baseline.iterations) << name;
+        if (!std::isnan(baseline.objective)) {
+          EXPECT_EQ(out.objective, baseline.objective) << name;
+        }
+        if (threads == 1) {
+          serial = out;
+        } else {
+          // Recompute effort itself is thread-count independent.
+          EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
+              << name << " threads=" << threads << " budget=" << budget;
+          EXPECT_EQ(out.tile_warm_hits, serial.tile_warm_hits) << name;
+          EXPECT_EQ(out.pairs_pruned, serial.pairs_pruned) << name;
         }
       }
     }

@@ -15,8 +15,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "clustering/ckmeans.h"
+#include "clustering/registry.h"
 #include "clustering/result_json.h"
 #include "common/json.h"
 #include "data/synthetic_gen.h"
@@ -66,7 +68,7 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
       "{\"dataset_id\": \"ds-2\", \"algorithm\": \"UK-means\", \"k\": 8,"
       " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
       " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
-      "              \"ukmeans_bound_pruning\": false}}");
+      "              \"ukmeans_minibatch_size\": 256}}");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const JobSpec& s = spec.ValueOrDie();
   EXPECT_EQ(s.algorithm, "UK-means");
@@ -75,7 +77,7 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
   EXPECT_FALSE(s.include_labels);
   EXPECT_EQ(s.engine.num_threads, 4);
   EXPECT_EQ(s.engine.memory_budget_bytes, 64u * 1024 * 1024);
-  EXPECT_FALSE(s.engine.ukmeans_bound_pruning);
+  EXPECT_EQ(s.engine.ukmeans_minibatch_size, 256u);
   EXPECT_EQ(s.engine_knobs.size(), 3u);
 }
 
@@ -106,6 +108,23 @@ TEST(JobSpec, RejectsInvalidBodies) {
   EXPECT_FALSE(JobSpec::FromJson("{\"dataset_id\": \"d\", \"k\": 3,"
                                  " \"engine\": {\"threads\": 1e30}}")
                    .ok());
+}
+
+// The exactness-preserving A/B toggles are gone from the knob table; a
+// request still naming one fails validation and says which key.
+TEST(JobSpec, RejectsRemovedEngineKnobs) {
+  for (const char* knob :
+       {"pairwise_gather_tiles", "pairwise_warm_rows", "pairwise_pruned_sweeps",
+        "ukmeans_ckmeans_reduction", "ukmeans_bound_pruning"}) {
+    auto spec = JobSpec::FromJson(
+        std::string("{\"dataset_id\": \"d\", \"k\": 3, \"engine\": {\"") +
+        knob + "\": true}}");
+    ASSERT_FALSE(spec.ok()) << knob;
+    EXPECT_EQ(spec.status().code(), common::StatusCode::kInvalidArgument)
+        << knob;
+    EXPECT_NE(spec.status().message().find(knob), std::string::npos)
+        << spec.status().ToString();
+  }
 }
 
 TEST(JobSpec, ToJsonRoundTrips) {
@@ -568,6 +587,47 @@ TEST(ClusteringService, EndToEndMatchesDirectRun) {
   auto metrics_json = common::ParseJson(metrics.body);
   ASSERT_TRUE(metrics_json.ok());
   EXPECT_GE(metrics_json.ValueOrDie().Find("completed")->AsInt(), 1);
+
+  svc.Stop();
+  SetLogEnabled(true);
+}
+
+// k is checked against the registered dataset's n at submit, for every
+// algorithm: k = n is accepted, k = n + 1 is a 400 counted as rejected.
+// (Several algorithms guard k <= n only with a release-compiled-out assert,
+// so an unchecked job could crash the server.)
+TEST(ClusteringService, RejectsKAboveDatasetSizeForEveryAlgorithm) {
+  SetLogEnabled(false);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  cfg.jobs.runner_override = [](const JobSpec&, const DatasetInfo&,
+                                const engine::EngineConfig&) {
+    return common::Result<clustering::ClusteringResult>(
+        clustering::ClusteringResult{});
+  };
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+
+  HttpResponse reg = svc.Handle(
+      Req("POST", "/v1/datasets", "{\"path\": \"" + TestDatasetPath() + "\"}"));
+  ASSERT_EQ(reg.status, 201) << reg.body;
+  const common::JsonValue info = common::ParseJson(reg.body).ValueOrDie();
+  const std::string ds_id = info.Find("id")->AsString();
+  const int64_t n = info.Find("n")->AsInt();
+  ASSERT_EQ(n, 120);
+
+  const std::vector<std::string> names = clustering::RegisteredClusterers();
+  for (const std::string& name : names) {
+    const auto body = [&](int64_t k) {
+      return "{\"dataset_id\": \"" + ds_id + "\", \"algorithm\": \"" +
+             name + "\", \"k\": " + std::to_string(k) + "}";
+    };
+    HttpResponse ok = svc.Handle(Req("POST", "/v1/jobs", body(n)));
+    EXPECT_EQ(ok.status, 202) << name << ": " << ok.body;
+    HttpResponse too_many = svc.Handle(Req("POST", "/v1/jobs", body(n + 1)));
+    EXPECT_EQ(too_many.status, 400) << name << ": " << too_many.body;
+  }
+  EXPECT_EQ(svc.jobs().Metrics().rejected, names.size());
 
   svc.Stop();
   SetLogEnabled(true);

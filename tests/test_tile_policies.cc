@@ -1,14 +1,16 @@
 // Workload-aware PairwiseStore tile-policy contract: asymmetric gather
 // blocks serve the same bits the dense table holds, the gather-tile
-// UK-medoids swap sweep is clustering-identical to the full sweep at a
-// strictly lower kernel-evaluation count, the warm-row cache obeys its
-// hit/miss counters and generation/invalidation protocol under the memory
-// budget, and the column-pruned FDBSCAN sweep skips only pairs whose
-// distance probability is provably 0.
+// UK-medoids swap sweep is clustering-identical to the dense full sweep
+// below the full-sweep kernel-evaluation floor, the warm-row cache obeys
+// its hit/miss counters and generation/invalidation protocol under the
+// memory budget, and the column-pruned FDBSCAN sweep serves the unpruned
+// sweep's exact values while skipping pairs whose distance probability is
+// provably 0.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "clustering/fdbscan.h"
@@ -51,15 +53,13 @@ PairwiseStoreOptions Explicit(PairwiseBackend backend, std::size_t tile_rows,
   return o;
 }
 
-engine::Engine PolicyEngine(std::size_t budget, bool gather, bool warm,
-                            bool pruned, int threads = 1) {
+engine::Engine BudgetEngine(std::size_t budget,
+                            const std::string& spatial_index = "auto") {
   engine::EngineConfig config;
-  config.num_threads = threads;
+  config.num_threads = 1;
   config.block_size = 32;
   config.memory_budget_bytes = budget;
-  config.pairwise_gather_tiles = gather;
-  config.pairwise_warm_rows = warm;
-  config.pairwise_pruned_sweeps = pruned;
+  config.spatial_index = spatial_index;
   return engine::Engine(config);
 }
 
@@ -143,37 +143,32 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
             o.memory_budget_bytes + 4 * n * sizeof(double));  // + tile LRU
 }
 
-// The gather-tile swap sweep must reproduce the full-sweep clustering
-// bit-for-bit on every backend while evaluating strictly fewer pairs on the
-// recomputing backends.
+// The gather-tile swap sweep of the recomputing backends must reproduce the
+// dense full-sweep clustering bit-for-bit while evaluating fewer pairs than
+// a full-table swap sweep would: n * (n - 1) per iteration.
 TEST(TilePolicies, UkMedoidsGatherPolicyBitIdenticalWithFewerEvaluations) {
   const auto ds = TestDataset(120, 3, 3, 103);
+  const int64_t n = static_cast<int64_t>(ds.size());
   const std::size_t row_bytes = ds.size() * sizeof(double);
 
   UkMedoids::Params mp;
   mp.use_closed_form = true;
-  const auto run = [&](std::size_t budget, bool gather, bool warm) {
+  const auto run = [&](std::size_t budget) {
     UkMedoids algo(mp);
-    algo.set_engine(PolicyEngine(budget, gather, warm, true));
+    algo.set_engine(BudgetEngine(budget));
     return algo.Cluster(ds, 3, 7);
   };
 
-  for (const std::size_t budget : {std::size_t{0}, 12 * row_bytes,
-                                   std::size_t{1}}) {
-    const ClusteringResult full = run(budget, false, false);
-    for (const bool warm : {false, true}) {
-      const ClusteringResult gathered = run(budget, true, warm);
-      EXPECT_EQ(gathered.labels, full.labels)
-          << "budget=" << budget << " warm=" << warm;
-      EXPECT_EQ(gathered.iterations, full.iterations) << "budget=" << budget;
-      EXPECT_EQ(gathered.objective, full.objective) << "budget=" << budget;
-      if (budget != 0) {
-        // Tiled / on-the-fly recompute per sweep: the member x member
-        // blocks must beat the full-table sweeps.
-        EXPECT_LT(gathered.pair_evaluations, full.pair_evaluations)
-            << "budget=" << budget << " warm=" << warm;
-      }
-    }
+  const ClusteringResult dense = run(0);
+  ASSERT_EQ(dense.pairwise_backend, "dense");
+  for (const std::size_t budget : {12 * row_bytes, std::size_t{1}}) {
+    const ClusteringResult gathered = run(budget);
+    EXPECT_NE(gathered.pairwise_backend, "dense") << "budget=" << budget;
+    EXPECT_EQ(gathered.labels, dense.labels) << "budget=" << budget;
+    EXPECT_EQ(gathered.iterations, dense.iterations) << "budget=" << budget;
+    EXPECT_EQ(gathered.objective, dense.objective) << "budget=" << budget;
+    EXPECT_LT(gathered.pair_evaluations, gathered.iterations * n * (n - 1))
+        << "budget=" << budget;
   }
 }
 
@@ -254,35 +249,65 @@ TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
   EXPECT_FALSE(tiny.options().warm_rows);
 }
 
-// Pruned sweep contract on a separable dataset: identical labels, strictly
-// fewer kernel evaluations, and every pair accounted as either evaluated or
-// pruned.
+// Pruned sweep contract on a separable dataset: the FDBSCAN distance-
+// probability sweep with the PairwiseBoundIndex predicate serves, tail for
+// tail, the values of the un-predicated sweep over the same kernel, and
+// every pair is accounted as either evaluated or pruned. FDBSCAN itself
+// (index off, so it runs exactly this predicate sweep) must report the
+// same evaluated/pruned split.
 TEST(TilePolicies, FdbscanPrunedSweepBitIdenticalWithFewerEvaluations) {
   const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
   const std::size_t n = ds.size();
+  const int64_t all_pairs =
+      static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
 
   Fdbscan::Params fp;
   fp.eps = 0.08;  // well below the class separation: cross-class pairs prune
-  const auto run = [&](std::size_t budget, bool pruned) {
-    Fdbscan algo(fp);
-    algo.set_engine(PolicyEngine(budget, true, true, pruned));
-    return algo.Cluster(ds, 3, 17);
+  const engine::Engine eng;
+  const uncertain::ResidentSampleStore samples(ds.objects(), fp.samples,
+                                               fp.sample_seed, eng);
+  const kernels::PairwiseKernel kernel =
+      kernels::PairwiseKernel::DistanceProbability(samples.view(), fp.eps);
+  const PairwiseBoundIndex bounds(ds.objects());
+  const auto collect = [&](PairwiseStore* store, bool pruned) {
+    std::vector<std::vector<double>> tails(n);
+    const auto visit = [&](std::size_t i, std::span<const double> tail) {
+      tails[i].assign(tail.begin(), tail.end());
+    };
+    if (pruned) {
+      store->VisitUpperTriangle(visit, [&](std::size_t i, std::size_t j) {
+        return bounds.ProvablyBeyond(i, j, fp.eps);
+      });
+    } else {
+      store->VisitUpperTriangle(visit);
+    }
+    return tails;
   };
 
   const std::size_t row_bytes = n * sizeof(double);
   for (const std::size_t budget : {std::size_t{0}, 10 * row_bytes}) {
-    const ClusteringResult plain = run(budget, false);
-    const ClusteringResult pruned = run(budget, true);
-    EXPECT_EQ(pruned.labels, plain.labels) << "budget=" << budget;
-    EXPECT_EQ(pruned.clusters_found, plain.clusters_found);
-    EXPECT_EQ(pruned.noise_objects, plain.noise_objects);
-    EXPECT_GT(pruned.pairs_pruned, 0) << "budget=" << budget;
-    EXPECT_LT(pruned.ed_evaluations, plain.ed_evaluations)
+    const PairwiseStoreOptions options =
+        PairwiseStoreOptions::FromBudget(budget, n);
+    PairwiseStore plain_store(eng, kernel, options);
+    PairwiseStore pruned_store(eng, kernel, options);
+    const auto plain = collect(&plain_store, false);
+    const auto pruned = collect(&pruned_store, true);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(pruned[i], plain[i]) << "row " << i << " budget=" << budget;
+    }
+    EXPECT_EQ(plain_store.evaluations(), all_pairs) << "budget=" << budget;
+    EXPECT_GT(pruned_store.pruned_pairs(), 0) << "budget=" << budget;
+    EXPECT_EQ(pruned_store.evaluations() + pruned_store.pruned_pairs(),
+              all_pairs)
         << "budget=" << budget;
-    const int64_t all_pairs =
-        static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
-    EXPECT_EQ(plain.pair_evaluations, all_pairs);
-    EXPECT_EQ(pruned.pair_evaluations + pruned.pairs_pruned, all_pairs);
+
+    Fdbscan algo(fp);
+    algo.set_engine(BudgetEngine(budget, "off"));
+    const ClusteringResult r = algo.Cluster(ds, 3, 17);
+    EXPECT_EQ(r.pair_evaluations, pruned_store.evaluations())
+        << "budget=" << budget;
+    EXPECT_EQ(r.pairs_pruned, pruned_store.pruned_pairs())
+        << "budget=" << budget;
   }
 }
 
@@ -355,16 +380,8 @@ TEST(TilePolicies, FdbscanIndexedSweepCounterIdentical) {
   Fdbscan::Params fp;
   fp.eps = 0.08;
   const auto run = [&](std::size_t budget, const std::string& index) {
-    engine::EngineConfig config;
-    config.num_threads = 1;
-    config.block_size = 32;
-    config.memory_budget_bytes = budget;
-    config.pairwise_gather_tiles = true;
-    config.pairwise_warm_rows = true;
-    config.pairwise_pruned_sweeps = true;
-    config.spatial_index = index;
     Fdbscan algo(fp);
-    algo.set_engine(engine::Engine(config));
+    algo.set_engine(BudgetEngine(budget, index));
     return algo.Cluster(ds, 3, 17);
   };
 
