@@ -246,18 +246,28 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // Timing-free results fingerprint of the 100% UK-means run (labels +
-  // objective bits only): two invocations that cluster identically print
-  // the same value no matter how fast they ran. CI diffs this line between
-  // --simd_isa=scalar and auto dispatch to pin the bit-exactness contract
-  // end to end on real hardware.
+  // Timing-free results fingerprint of the 100% runs (labels + objective
+  // bits only): the UK-means reference run's fingerprint, then UCPC's and
+  // MMVar's on the same moments folded in, so two invocations that cluster
+  // identically print the same value no matter how fast they ran. CI diffs
+  // this line between --simd_isa=scalar and auto dispatch to pin the
+  // bit-exactness contract end to end on real hardware, for the paper's
+  // algorithms as well as the baseline.
   {
     const auto fp_run = clustering::Ukmeans::RunOnMoments(
         largest_mm.view(), k, seed, clustering::Ukmeans::Params(), eng);
     const uint64_t fp = bench::ResultFingerprint(fp_run.labels,
                                                  fp_run.objective);
+    const auto ucpc_run = clustering::Ucpc::RunOnMoments(
+        largest_mm.view(), k, seed, clustering::Ucpc::Params(), eng);
+    const auto mmvar_run = clustering::Mmvar::RunOnMoments(
+        largest_mm.view(), k, seed, clustering::Mmvar::Params(), eng);
+    const uint64_t folded = bench::CombineFingerprints(
+        {fp, bench::ResultFingerprint(ucpc_run.labels, ucpc_run.objective),
+         bench::ResultFingerprint(mmvar_run.labels, mmvar_run.objective)});
     std::printf("\nFIG5 FINGERPRINT=%016llx\n",
-                static_cast<unsigned long long>(fp));
+                static_cast<unsigned long long>(folded));
+    json.KV("fig5_fingerprint", clustering::FingerprintHex(folded));
     json.KV("result_fingerprint", clustering::FingerprintHex(fp));
     // The same run in the one canonical ClusteringResult serialization the
     // service's GET /v1/jobs/{id}/result route emits, so an archived fig5

@@ -1,7 +1,8 @@
 // Microbench for the SIMD kernel layer (src/clustering/simd/): per-ISA
-// throughput of the three hot inner loops — the closed-form ED^ tile
-// accumulation, the moment-column packing, and the CK-means reduced-moment
-// nearest-two center sweep — plus a runtime cross-check that every compiled
+// throughput of the four hot inner loops — the closed-form ED^ tile
+// accumulation, the moment-column packing, the CK-means reduced-moment
+// nearest-two center sweep, and the UCPC/MMVar center-major distance sweep
+// — plus a runtime cross-check that every compiled
 // vector path reproduces the scalar reference bit for bit on this machine's
 // actual hardware.
 //
@@ -18,7 +19,7 @@
 //   --m=D           dimensions per object             (default 64)
 //   --tile_rows=R   rows per ED^ tile                 (default 64)
 //   --n=N           objects (tile columns / sweep points) (default 2048)
-//   --k=K           centers for the nearest-two sweep (default 16)
+//   --k=K           centers for both center sweeps    (default 16)
 //   --min_ms=T      min measured wall ms per kernel   (default 200)
 //   --seed=S        input generator seed              (default 1)
 //   --json_out=PATH JSON path (default BENCH_kernel_throughput.json)
@@ -53,6 +54,7 @@ struct Inputs {
   std::vector<double> var;        // n x m
   std::vector<double> total_var;  // n
   std::vector<double> centroids;  // k x m
+  std::vector<double> centers_cm;  // the same centers, m x k (center-major)
 };
 
 Inputs MakeInputs(std::size_t m, std::size_t tile_rows, std::size_t n, int k,
@@ -81,6 +83,12 @@ Inputs MakeInputs(std::size_t m, std::size_t tile_rows, std::size_t n, int k,
   }
   in.centroids.resize(static_cast<std::size_t>(k) * m);
   for (double& c : in.centroids) c = rng.Uniform(-10.0, 10.0);
+  in.centers_cm.resize(in.centroids.size());
+  for (int c = 0; c < k; ++c) {
+    for (std::size_t j = 0; j < m; ++j) {
+      in.centers_cm[j * k + c] = in.centroids[c * m + j];
+    }
+  }
   return in;
 }
 
@@ -132,6 +140,17 @@ std::size_t SweepPass(const simd::KernelTable& t, const Inputs& in,
   return in.n * static_cast<std::size_t>(in.k);
 }
 
+// One relocation sweep: every object's squared distances to all k centers
+// via center_sq_distances, into out (n x k).
+std::size_t CenterSweepPass(const simd::KernelTable& t, const Inputs& in,
+                            std::vector<double>* out) {
+  for (std::size_t i = 0; i < in.n; ++i) {
+    t.center_sq_distances(in.means.data() + i * in.m, in.centers_cm.data(),
+                          in.k, in.m, out->data() + i * in.k);
+  }
+  return in.n * static_cast<std::size_t>(in.k);
+}
+
 // Repeats fn until at least min_ms of wall time is covered; returns
 // (repetitions, elapsed seconds).
 template <typename Fn>
@@ -151,6 +170,7 @@ struct IsaResults {
   double ed2_gb_per_s = 0.0;
   double pack_gb_per_s = 0.0;
   double sweep_evals_per_s = 0.0;
+  double center_sweep_evals_per_s = 0.0;
   bool cross_check_ok = true;
 };
 
@@ -180,9 +200,11 @@ int main(int argc, char** argv) {
   std::vector<double> ref_mean(n * m), ref_mu2(n * m), ref_var(n * m),
       ref_tv(n);
   std::vector<int> ref_labels(n);
+  std::vector<double> ref_d2(n * k);
   Ed2Tile(*scalar, in, &ref_tile);
   PackPass(*scalar, in, &ref_mean, &ref_mu2, &ref_var, &ref_tv);
   SweepPass(*scalar, in, &ref_labels);
+  CenterSweepPass(*scalar, in, &ref_d2);
 
   const simd::Isa kCandidates[] = {simd::Isa::kScalar, simd::Isa::kAvx2,
                                    simd::Isa::kNeon};
@@ -201,9 +223,11 @@ int main(int argc, char** argv) {
       std::vector<double> tile(tile_rows * n);
       std::vector<double> mean(n * m), mu2(n * m), var(n * m), tv(n);
       std::vector<int> labels(n);
+      std::vector<double> d2(n * k);
       Ed2Tile(*table, in, &tile);
       PackPass(*table, in, &mean, &mu2, &var, &tv);
       SweepPass(*table, in, &labels);
+      CenterSweepPass(*table, in, &d2);
       r.cross_check_ok =
           std::memcmp(tile.data(), ref_tile.data(),
                       tile.size() * sizeof(double)) == 0 &&
@@ -216,7 +240,9 @@ int main(int argc, char** argv) {
           std::memcmp(tv.data(), ref_tv.data(),
                       tv.size() * sizeof(double)) == 0 &&
           std::memcmp(labels.data(), ref_labels.data(),
-                      labels.size() * sizeof(int)) == 0;
+                      labels.size() * sizeof(int)) == 0 &&
+          std::memcmp(d2.data(), ref_d2.data(), d2.size() * sizeof(double)) ==
+              0;
       all_ok = all_ok && r.cross_check_ok;
     }
 
@@ -259,6 +285,17 @@ int main(int argc, char** argv) {
       r.sweep_evals_per_s = static_cast<double>(evals) / secs;
       g_sink += labels[0];
     }
+    // Center-major sweep: n x k squared distances per pass.
+    {
+      std::vector<double> d2(n * k);
+      std::size_t evals = 0;
+      const auto [reps, secs] = Measure(min_ms, [&] {
+        evals += CenterSweepPass(*table, in, &d2);
+      });
+      (void)reps;
+      r.center_sweep_evals_per_s = static_cast<double>(evals) / secs;
+      g_sink += d2[0];
+    }
     results.push_back(std::move(r));
   }
 
@@ -266,12 +303,14 @@ int main(int argc, char** argv) {
   for (const IsaResults& r : results) {
     if (r.name == "scalar") scalar_ed2 = r.ed2_evals_per_s;
   }
-  std::printf("%-8s %14s %10s %10s %14s %9s %6s\n", "isa", "ed2 evals/s",
-              "ed2 GB/s", "pack GB/s", "sweep evals/s", "vs scalar", "bits");
+  std::printf("%-8s %14s %10s %10s %14s %15s %9s %6s\n", "isa",
+              "ed2 evals/s", "ed2 GB/s", "pack GB/s", "sweep evals/s",
+              "csweep evals/s", "vs scalar", "bits");
   for (const IsaResults& r : results) {
-    std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %8.2fx %6s\n",
+    std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %15.3g %8.2fx %6s\n",
                 r.name.c_str(), r.ed2_evals_per_s, r.ed2_gb_per_s,
                 r.pack_gb_per_s, r.sweep_evals_per_s,
+                r.center_sweep_evals_per_s,
                 scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0,
                 r.name == "scalar" ? "ref"
                                    : (r.cross_check_ok ? "ok" : "DIFF"));
@@ -301,6 +340,7 @@ int main(int argc, char** argv) {
     json.KV("ed2_gb_per_s", r.ed2_gb_per_s);
     json.KV("pack_gb_per_s", r.pack_gb_per_s);
     json.KV("sweep_evals_per_s", r.sweep_evals_per_s);
+    json.KV("center_sweep_evals_per_s", r.center_sweep_evals_per_s);
     json.KV("ed2_speedup_vs_scalar",
             scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0);
     json.KV("cross_check_ok", r.cross_check_ok);

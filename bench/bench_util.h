@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <thread>
@@ -65,20 +66,35 @@ inline uint64_t ResultFingerprint(std::span<const int> labels,
   return clustering::ResultFingerprint(labels, objective);
 }
 
+/// Feeds the 8 bytes of `bits` (low byte first) into FNV-1a state *h.
+inline void FnvMix64(uint64_t* h, uint64_t bits) {
+  for (int b = 0; b < 64; b += 8) {
+    *h ^= (bits >> b) & 0xff;
+    *h *= 1099511628211ull;
+  }
+}
+
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+/// FNV-1a over a sequence of fingerprints: one line that changes when any
+/// of several runs changes.
+inline uint64_t CombineFingerprints(std::initializer_list<uint64_t> parts) {
+  uint64_t h = kFnvOffsetBasis;
+  for (const uint64_t part : parts) FnvMix64(&h, part);
+  return h;
+}
+
 /// FNV-1a over every moment byte of a view (mean, mu2, var row by row): a
 /// stable fingerprint for cross-mode / cross-backend comparison in CI logs.
 /// Identical for any storage backend serving the same statistics.
 inline uint64_t MomentFingerprint(const uncertain::MomentView& view) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffsetBasis;
   auto mix = [&h](std::span<const double> row) {
     for (double v : row) {
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(v));
       std::memcpy(&bits, &v, sizeof(bits));
-      for (int b = 0; b < 64; b += 8) {
-        h ^= (bits >> b) & 0xff;
-        h *= 1099511628211ull;
-      }
+      FnvMix64(&h, bits);
     }
   };
   for (std::size_t i = 0; i < view.size(); ++i) {

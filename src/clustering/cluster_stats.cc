@@ -147,6 +147,73 @@ double ObjectiveAfterRemove(ObjectiveKind kind, const ClusterMoments& c,
   return ObjectiveWithDelta(kind, c, moments, i, -1.0, c.size() - 1);
 }
 
+namespace {
+
+// P = sum_j Psi_j.
+double SumVariance(const ClusterMoments& c) {
+  double p = 0.0;
+  for (const double psi : c.sum_var()) p += psi;
+  return p;
+}
+
+}  // namespace
+
+// With J_UCPC = P (1 + 1/s) + E, J_MM = (P + E) / s and J_UK = P + E, the
+// deltas follow by substituting (s +- 1, P +- V, E +- s/(s +- 1) d2). The
+// constant terms are written through J itself where possible, so they carry
+// no cancellation of their own.
+DeltaCoefficients AddDeltaCoefficients(ObjectiveKind kind,
+                                       const ClusterMoments& c) {
+  const double s = static_cast<double>(c.size());
+  const double s1 = s + 1.0;
+  DeltaCoefficients d;
+  switch (kind) {
+    case ObjectiveKind::kUcpc:
+      d.a = s / s1;
+      d.b = (s + 2.0) / s1;
+      d.g = c.size() == 0 ? 0.0 : -SumVariance(c) / (s * s1);
+      break;
+    case ObjectiveKind::kMmvar:
+      d.a = s / (s1 * s1);
+      d.b = 1.0 / s1;
+      d.g = -MmvarObjective(c) / s1;
+      break;
+    case ObjectiveKind::kUkmeans:
+      d.a = s / s1;
+      d.b = 1.0;
+      break;
+  }
+  return d;
+}
+
+DeltaCoefficients RemoveDeltaCoefficients(ObjectiveKind kind,
+                                          const ClusterMoments& c) {
+  DeltaCoefficients d;
+  if (c.size() <= 1) {
+    d.g = -Objective(kind, c);
+    return d;
+  }
+  const double s = static_cast<double>(c.size());
+  const double s1 = s - 1.0;
+  switch (kind) {
+    case ObjectiveKind::kUcpc:
+      d.a = -s / s1;
+      d.b = -s / s1;
+      d.g = SumVariance(c) / (s * s1);
+      break;
+    case ObjectiveKind::kMmvar:
+      d.a = -s / (s1 * s1);
+      d.b = -1.0 / s1;
+      d.g = MmvarObjective(c) / s1;
+      break;
+    case ObjectiveKind::kUkmeans:
+      d.a = -s / s1;
+      d.b = -1.0;
+      break;
+  }
+  return d;
+}
+
 double TotalObjective(ObjectiveKind kind,
                       const uncertain::MomentView& moments,
                       const std::vector<int>& labels, int k) {

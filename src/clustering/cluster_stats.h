@@ -7,7 +7,10 @@
 //   T_j   = sum_i  mu_j(o_i)         (means; Upsilon_j = T_j^2)
 // and the same three sums also yield the UK-means (Lemma 1) and MMVar
 // (Lemma 2 + Eq. 11) objectives, which is what makes Propositions 2 and 3
-// directly checkable. Corollary 1 turns add/remove into O(m) updates.
+// directly checkable. Corollary 1 turns add/remove into O(m) updates; the
+// relocation local search (local_search.h) uses those closed forms to
+// revalidate every move it applies, and the tests use them as the oracle
+// for the affine relocation deltas below, which drive its proposal sweep.
 //
 // Caveat for the CK-means reduced representation (clustering/ckmeans.h):
 // these aggregates consume the FULL moment columns — Phi needs mu2 and Psi
@@ -93,6 +96,31 @@ double ObjectiveAfterAdd(ObjectiveKind kind, const ClusterMoments& c,
 double ObjectiveAfterRemove(ObjectiveKind kind, const ClusterMoments& c,
                             const uncertain::MomentView& moments,
                             std::size_t i);
+
+/// Relocation delta of one cluster in affine form: with V = the object's
+/// total variance and d2 = ||mu(object) - T/|C| ||^2 (its squared distance to
+/// the cluster's mean of means; any finite value when C is empty),
+///   J(C + {object}) - J(C)  =  a * d2 + b * V + g   (add coefficients),
+///   J(C - {object}) - J(C)  =  a * d2 + b * V + g   (remove, object in C).
+/// Every objective depends on a cluster only through s = |C|,
+/// P = sum_j Psi_j and the scatter E of member means around T/s (adding
+/// maps E to E + s/(s+1) d2, removing to E - s/(s-1) d2), so the
+/// coefficients are per-cluster constants, computed in O(m).
+struct DeltaCoefficients {
+  double a = 0.0;
+  double b = 0.0;
+  double g = 0.0;
+};
+
+/// Add coefficients. An empty C gives a = g = 0 and b = J({object}) / V
+/// (2 for UCPC, 1 for MMVar and UK-means), the exact singleton objective.
+DeltaCoefficients AddDeltaCoefficients(ObjectiveKind kind,
+                                       const ClusterMoments& c);
+
+/// Remove coefficients. For |C| = 1 they give -J(C) (the cluster empties);
+/// |C| = 0 gives all zeros.
+DeltaCoefficients RemoveDeltaCoefficients(ObjectiveKind kind,
+                                          const ClusterMoments& c);
 
 /// Sum over clusters of `kind`'s objective for a full labeling. O(n m).
 double TotalObjective(ObjectiveKind kind,

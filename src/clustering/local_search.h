@@ -43,10 +43,15 @@ struct LocalSearchOutcome {
 ///
 /// Each pass proposes the best move of every object in parallel against the
 /// pass-start aggregates, then applies the proposals serially in object
-/// order, revalidating each against the current aggregates (first-improving-
-/// move tie-breaking). Proposals depend only on the pass-start state and the
-/// application order is fixed, so labels, objective, and pass counts are
-/// bit-identical for any engine thread count.
+/// order, revalidating each against the current aggregates with the
+/// Corollary 1 closed forms (first-improving-move tie-breaking). Proposals
+/// come from a center-major distance sweep: one simd::CenterSqDistances
+/// call per object gives its squared distance to every cluster's mean of
+/// means, and each candidate move is priced as a * d2 + b * V + g with
+/// per-pass cluster coefficients (cluster_stats.h, DeltaCoefficients).
+/// Proposals depend only on the pass-start state and the application order
+/// is fixed, so labels, objective, and pass counts are bit-identical for
+/// any engine thread count and any SIMD dispatch path.
 LocalSearchOutcome RunLocalSearch(const uncertain::MomentView& moments,
                                   int k, const LocalSearchParams& params,
                                   common::Rng* rng,
@@ -54,7 +59,8 @@ LocalSearchOutcome RunLocalSearch(const uncertain::MomentView& moments,
                                       engine::Engine::Serial());
 
 /// Same as RunLocalSearch but starting from a caller-provided partition
-/// (labels in [0, k), every cluster non-empty).
+/// (labels in [0, k)). A cluster may start empty: moves into it are priced
+/// at the exact singleton objective, and no move ever empties a cluster.
 LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
                                       int k, const LocalSearchParams& params,
                                       std::vector<int> initial_labels,

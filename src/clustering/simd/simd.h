@@ -1,7 +1,8 @@
 // SIMD kernel layer: compile-time multi-versioned, runtime-dispatched
 // inner-loop primitives for the dense arithmetic sweeps of the clustering
 // stack (closed-form ED^ accumulation, moment-column packing, CK-means
-// center-distance scans, per-cluster sum accumulators).
+// center-distance scans, the UCPC/MMVar relocation center sweep,
+// per-cluster sum accumulators).
 //
 // Bit-exactness contract. Every primitive produces BIT-IDENTICAL doubles on
 // every ISA path (scalar reference, AVX2, NEON). The mechanism is a
@@ -11,7 +12,9 @@
 // folded in one fixed tree (FoldLanes in simd_lanes.h). AVX2 implements the
 // 16-lane block as four 4-wide registers, NEON as eight 2-wide registers,
 // and the scalar reference as sixteen plain accumulators — the same
-// additions in the same order, so the rounding is the same everywhere. The
+// additions in the same order, so the rounding is the same everywhere.
+// center_sq_distances needs no fold: its lanes run across centers, so each
+// output is one sequential ascending-j sum on every path. The
 // width is 16 (not one hardware register) so the vector paths run several
 // independent add chains: one 4-lane accumulator would pin AVX2 to the
 // same elements-per-FP-add-latency ceiling the multi-chain scalar code
@@ -52,8 +55,9 @@ inline constexpr std::size_t kLanes = 16;
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2, kAuto = 3 };
 
 /// One ISA path's implementations of the inner-loop primitives. All
-/// functions follow the lane-blocked accumulation order above, so any two
-/// tables produce bit-identical outputs for the same inputs.
+/// functions follow the accumulation orders above (lane-blocked, or one
+/// lane per center), so any two tables produce bit-identical outputs for
+/// the same inputs.
 struct KernelTable {
   /// sum_j (a[j] - b[j])^2 over j in [0, m).
   double (*squared_distance)(const double* a, const double* b, std::size_t m);
@@ -79,6 +83,12 @@ struct KernelTable {
   void (*nearest_two)(const double* point, const double* centroids, int k,
                       std::size_t m, int reuse_c, double reuse_d2, int* best,
                       double* best_d2, double* second_d2);
+  /// Squared distances of one point to k centers stored center-major
+  /// (coordinate j of center c at centers_cm[j * k + c]): out[c] =
+  /// sum_j (point[j] - centers_cm[j * k + c])^2, summed in ascending j with
+  /// separate multiply and add — the relocation local search's sweep.
+  void (*center_sq_distances)(const double* point, const double* centers_cm,
+                              int k, std::size_t m, double* out);
 };
 
 /// Table of a specific path, or nullptr when that path is not compiled in
@@ -139,6 +149,11 @@ inline void NearestTwo(const double* point, const double* centroids, int k,
                        double* best_d2, double* second_d2) {
   Active().nearest_two(point, centroids, k, m, reuse_c, reuse_d2, best,
                        best_d2, second_d2);
+}
+
+inline void CenterSqDistances(const double* point, const double* centers_cm,
+                              int k, std::size_t m, double* out) {
+  Active().center_sq_distances(point, centers_cm, k, m, out);
 }
 
 // Per-ISA table factories (defined in their own TUs so target-specific

@@ -16,42 +16,21 @@ namespace uclust::clustering::simd {
 
 namespace {
 
-struct Avx2Ops {
-  static constexpr int kRegs = static_cast<int>(kLanes / 4);
-  struct V {
-    __m256d r[kRegs];  // r[q] holds lanes 4q .. 4q+3
-  };
-  static V Zero() {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_setzero_pd();
-    return v;
-  }
-  static V Load(const double* p) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_loadu_pd(p + 4 * q);
-    return v;
-  }
-  static V Sub(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_sub_pd(a.r[q], b.r[q]);
-    return v;
-  }
-  static V Mul(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_mul_pd(a.r[q], b.r[q]);
-    return v;
-  }
-  static V Add(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_add_pd(a.r[q], b.r[q]);
-    return v;
-  }
-  static void Store(double* p, const V& a) {
-    for (int q = 0; q < kRegs; ++q) _mm256_storeu_pd(p + 4 * q, a.r[q]);
-  }
+// One 4-wide register; LaneBlock<Avx2Reg> is the 16-lane block as four
+// independent add chains.
+struct Avx2Reg {
+  static constexpr std::size_t kWidth = 4;
+  using V = __m256d;
+  static V Zero() { return _mm256_setzero_pd(); }
+  static V Splat(double x) { return _mm256_set1_pd(x); }
+  static V Load(const double* p) { return _mm256_loadu_pd(p); }
+  static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V Add(V a, V b) { return _mm256_add_pd(a, b); }
+  static void Store(double* p, V a) { _mm256_storeu_pd(p, a); }
 };
 
-const KernelTable kTable = MakeTable<Avx2Ops>();
+const KernelTable kTable = MakeTable<Avx2Reg>();
 
 }  // namespace
 

@@ -1,12 +1,14 @@
-// Shared lane-blocked kernel bodies, templated over a per-ISA `Ops` type.
+// Shared lane-blocked kernel bodies, templated over a per-ISA register
+// type `R`.
 //
-// Every ISA TU instantiates the SAME templates below with its own Ops
-// (vector type + Zero/Load/Sub/Mul/Add/Store), so the accumulation order —
-// and therefore the rounding — is identical by construction: the bit-
-// exactness contract is structural, not something each path re-implements
-// and can drift on. An Ops vector always models exactly kLanes = 16 doubles
-// (AVX2 packs four 4-wide registers, NEON eight 2-wide registers, scalar a
-// double[16]).
+// Every ISA TU supplies only its hardware register (R: kWidth doubles plus
+// Zero/Splat/Load/Sub/Mul/Add/Store) and instantiates the SAME templates
+// below, so the accumulation order — and therefore the rounding — is
+// identical by construction: the bit-exactness contract is structural, not
+// something each path re-implements and can drift on. LaneBlock<R> packs
+// kLanes / R::kWidth registers into one block of exactly kLanes = 16
+// doubles (AVX2 four 4-wide registers, NEON eight 2-wide registers, scalar
+// sixteen OneLane doubles).
 //
 // Shape of every reduction:
 //   1. vector body over the full groups [0, m - m % 16),
@@ -15,8 +17,12 @@
 //   4. fixed fold tree (FoldLanes below).
 // Steps 2–4 are plain scalar code shared verbatim across ISAs; step 1 is
 // where the vector speedup lives and is rounding-equivalent to sixteen
-// independent scalar accumulators as long as Ops never fuses mul+add
+// independent scalar accumulators as long as R never fuses mul+add
 // (see the -ffp-contract=off note in simd.h).
+//
+// The center sweep (CenterSqDistancesT) needs no fold at all: its lanes
+// run across centers, so each output is one lane's sequential sum whatever
+// the block width.
 #ifndef UCLUST_CLUSTERING_SIMD_SIMD_LANES_H_
 #define UCLUST_CLUSTERING_SIMD_SIMD_LANES_H_
 
@@ -27,6 +33,71 @@
 #include "clustering/simd/simd.h"
 
 namespace uclust::clustering::simd {
+
+// Everything here has internal linkage: each ISA TU is compiled with its own
+// flags (-mavx2, no auto-vectorization, ...), so a shared instantiation such
+// as CenterBlocksT<OneLane> must not be merged across TUs by the linker — the
+// scalar table could otherwise run a copy built for AVX2.
+namespace {
+
+// The one-double "register": the scalar TU's R and every path's last-center
+// tail in the center sweep.
+struct OneLane {
+  static constexpr std::size_t kWidth = 1;
+  using V = double;
+  static V Zero() { return 0.0; }
+  static V Splat(double x) { return x; }
+  static V Load(const double* p) { return *p; }
+  static V Sub(V a, V b) { return a - b; }
+  static V Mul(V a, V b) { return a * b; }
+  static V Add(V a, V b) { return a + b; }
+  static void Store(double* p, V a) { *p = a; }
+};
+
+// kLanes doubles as kRegs independent registers of R (register q holds
+// lanes q * R::kWidth .. (q + 1) * R::kWidth - 1).
+template <class R>
+struct LaneBlock {
+  static_assert(kLanes % R::kWidth == 0);
+  static constexpr std::size_t kWidth = kLanes;
+  static constexpr std::size_t kRegs = kLanes / R::kWidth;
+  struct V {
+    typename R::V r[kRegs];
+  };
+  static V Zero() {
+    V v;
+    for (std::size_t q = 0; q < kRegs; ++q) v.r[q] = R::Zero();
+    return v;
+  }
+  static V Splat(double x) {
+    V v;
+    for (std::size_t q = 0; q < kRegs; ++q) v.r[q] = R::Splat(x);
+    return v;
+  }
+  static V Load(const double* p) {
+    V v;
+    for (std::size_t q = 0; q < kRegs; ++q) v.r[q] = R::Load(p + q * R::kWidth);
+    return v;
+  }
+  static V Sub(const V& a, const V& b) {
+    V v;
+    for (std::size_t q = 0; q < kRegs; ++q) v.r[q] = R::Sub(a.r[q], b.r[q]);
+    return v;
+  }
+  static V Mul(const V& a, const V& b) {
+    V v;
+    for (std::size_t q = 0; q < kRegs; ++q) v.r[q] = R::Mul(a.r[q], b.r[q]);
+    return v;
+  }
+  static V Add(const V& a, const V& b) {
+    V v;
+    for (std::size_t q = 0; q < kRegs; ++q) v.r[q] = R::Add(a.r[q], b.r[q]);
+    return v;
+  }
+  static void Store(double* p, const V& a) {
+    for (std::size_t q = 0; q < kRegs; ++q) R::Store(p + q * R::kWidth, a.r[q]);
+  }
+};
 
 // The fixed fold tree of the lane block: halve lane-wise (lane j absorbs
 // lane j + width/2) down to 4 survivors, then (t0 + t2) + (t1 + t3). The
@@ -155,13 +226,49 @@ void NearestTwoT(const double* point, const double* centroids, int k,
   *second_d2 = sd;  // inf when k == 1, matching the historical scan
 }
 
+// Blocks of Ops::kWidth consecutive centers from center c on, while a whole
+// block fits; returns the first center left over. Lane l of a block owns
+// center c + l and accumulates (point[j] - centers_cm[j * k + c + l])^2 in
+// ascending j — the same additions in the same order for any block width.
 template <class Ops>
+std::size_t CenterBlocksT(const double* point, const double* centers_cm,
+                          std::size_t k, std::size_t m, std::size_t c,
+                          double* out) {
+  for (; c + Ops::kWidth <= k; c += Ops::kWidth) {
+    typename Ops::V acc = Ops::Zero();
+    for (std::size_t j = 0; j < m; ++j) {
+      const typename Ops::V d =
+          Ops::Sub(Ops::Splat(point[j]), Ops::Load(centers_cm + j * k + c));
+      acc = Ops::Add(acc, Ops::Mul(d, d));
+    }
+    Ops::Store(out + c, acc);
+  }
+  return c;
+}
+
+// The relocation local search's center sweep: 16-center blocks, then single
+// registers, then single centers.
+template <class R>
+void CenterSqDistancesT(const double* point, const double* centers_cm, int k,
+                        std::size_t m, double* out) {
+  const std::size_t kk = static_cast<std::size_t>(k);
+  std::size_t c =
+      CenterBlocksT<LaneBlock<R>>(point, centers_cm, kk, m, 0, out);
+  c = CenterBlocksT<R>(point, centers_cm, kk, m, c, out);
+  CenterBlocksT<OneLane>(point, centers_cm, kk, m, c, out);
+}
+
+template <class R>
 constexpr KernelTable MakeTable() {
+  using Ops = LaneBlock<R>;
   return KernelTable{
       &SquaredDistanceT<Ops>, &SumT<Ops>,     &Ed2T<Ops>,
       &VectorAddT<Ops>,       &PackRowT<Ops>, &NearestTwoT<Ops>,
+      &CenterSqDistancesT<R>,
   };
 }
+
+}  // namespace
 
 }  // namespace uclust::clustering::simd
 

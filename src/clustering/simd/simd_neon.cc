@@ -15,42 +15,21 @@ namespace uclust::clustering::simd {
 
 namespace {
 
-struct NeonOps {
-  static constexpr int kRegs = static_cast<int>(kLanes / 2);
-  struct V {
-    float64x2_t r[kRegs];  // r[q] holds lanes 2q, 2q+1
-  };
-  static V Zero() {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = vdupq_n_f64(0.0);
-    return v;
-  }
-  static V Load(const double* p) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = vld1q_f64(p + 2 * q);
-    return v;
-  }
-  static V Sub(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = vsubq_f64(a.r[q], b.r[q]);
-    return v;
-  }
-  static V Mul(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = vmulq_f64(a.r[q], b.r[q]);
-    return v;
-  }
-  static V Add(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = vaddq_f64(a.r[q], b.r[q]);
-    return v;
-  }
-  static void Store(double* p, const V& a) {
-    for (int q = 0; q < kRegs; ++q) vst1q_f64(p + 2 * q, a.r[q]);
-  }
+// One 2-wide register; LaneBlock<NeonReg> is the 16-lane block as eight
+// independent add chains.
+struct NeonReg {
+  static constexpr std::size_t kWidth = 2;
+  using V = float64x2_t;
+  static V Zero() { return vdupq_n_f64(0.0); }
+  static V Splat(double x) { return vdupq_n_f64(x); }
+  static V Load(const double* p) { return vld1q_f64(p); }
+  static V Sub(V a, V b) { return vsubq_f64(a, b); }
+  static V Mul(V a, V b) { return vmulq_f64(a, b); }
+  static V Add(V a, V b) { return vaddq_f64(a, b); }
+  static void Store(double* p, V a) { vst1q_f64(p, a); }
 };
 
-const KernelTable kTable = MakeTable<NeonOps>();
+const KernelTable kTable = MakeTable<NeonReg>();
 
 }  // namespace
 

@@ -1,49 +1,16 @@
-// Scalar reference path: the lane-blocked templates instantiated with a
-// plain double[4] "vector". This TU is the ground truth the vector paths
-// are checked against, and the forced-scalar bench baseline — so the build
-// disables auto-vectorization for it (see CMakeLists.txt), keeping the
-// baseline honestly scalar instead of silently SSE2.
+// Scalar reference path: the lane-blocked templates instantiated with the
+// one-double register, so a lane block is sixteen plain accumulators. This
+// TU is the ground truth the vector paths are checked against, and the
+// forced-scalar bench baseline — so the build disables auto-vectorization
+// for it (see CMakeLists.txt), keeping the baseline honestly scalar instead
+// of silently SSE2.
 #include "clustering/simd/simd_lanes.h"
 
 namespace uclust::clustering::simd {
 
 namespace {
 
-struct ScalarOps {
-  struct V {
-    double v[kLanes];
-  };
-  static V Zero() {
-    V r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = 0.0;
-    return r;
-  }
-  static V Load(const double* p) {
-    V r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static V Sub(const V& a, const V& b) {
-    V r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] - b.v[i];
-    return r;
-  }
-  static V Mul(const V& a, const V& b) {
-    V r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] * b.v[i];
-    return r;
-  }
-  static V Add(const V& a, const V& b) {
-    V r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-  }
-  static void Store(double* p, const V& a) {
-    for (std::size_t i = 0; i < kLanes; ++i) p[i] = a.v[i];
-  }
-};
-
-constexpr KernelTable kTable = MakeTable<ScalarOps>();
+constexpr KernelTable kTable = MakeTable<OneLane>();
 
 }  // namespace
 

@@ -166,6 +166,61 @@ TEST_P(IncrementalUpdateProperty, RemoveToEmptyIsZero) {
   EXPECT_DOUBLE_EQ(ObjectiveAfterRemove(kind, c, mm, 1), 0.0);
 }
 
+// ||mu(i) - T/|C| ||^2, the d2 of the affine relocation deltas.
+double SquaredDistanceToMeanOfMeans(const ClusterMoments& c,
+                                    const MomentMatrix& mm, std::size_t i) {
+  const double s = static_cast<double>(c.size());
+  double d2 = 0.0;
+  for (std::size_t j = 0; j < c.dims(); ++j) {
+    const double d = mm.mean(i)[j] - c.sum_mu()[j] / s;
+    d2 += d * d;
+  }
+  return d2;
+}
+
+// The proposal sweep's a * d2 + b * V + g deltas are the Corollary 1 deltas
+// rewritten, for adds at every size and removes from s >= 2.
+TEST_P(IncrementalUpdateProperty, AffineDeltasMatchCorollaryOne) {
+  const ObjectiveKind kind = GetParam();
+  const MomentMatrix mm = RandomMoments(60, 4, 12);
+  for (const std::size_t s : {1, 2, 3, 50}) {
+    ClusterMoments c(4);
+    for (std::size_t i = 0; i < s; ++i) c.Add(mm, i);
+    const double j = Objective(kind, c);
+    const double tol = 1e-12 * (1.0 + std::fabs(j));
+    const DeltaCoefficients add = AddDeltaCoefficients(kind, c);
+    for (const std::size_t i : {std::size_t{55}, std::size_t{59}}) {
+      const double affine = add.a * SquaredDistanceToMeanOfMeans(c, mm, i) +
+                            add.b * mm.total_variance(i) + add.g;
+      EXPECT_NEAR(affine, ObjectiveAfterAdd(kind, c, mm, i) - j, tol)
+          << "add, s=" << s << " i=" << i;
+    }
+    if (s < 2) continue;
+    const DeltaCoefficients remove = RemoveDeltaCoefficients(kind, c);
+    for (const std::size_t i : {std::size_t{0}, s - 1}) {
+      const double affine = remove.a * SquaredDistanceToMeanOfMeans(c, mm, i) +
+                            remove.b * mm.total_variance(i) + remove.g;
+      EXPECT_NEAR(affine, ObjectiveAfterRemove(kind, c, mm, i) - j, tol)
+          << "remove, s=" << s << " i=" << i;
+    }
+  }
+}
+
+// Adding to an empty cluster costs exactly the singleton objective: a = 0
+// and g = 0 (no 0/0), b = 2 for UCPC (V/1 + V) and 1 for MMVar/UK-means.
+TEST_P(IncrementalUpdateProperty, EmptyClusterAddCoefficientsAreExact) {
+  const ObjectiveKind kind = GetParam();
+  const MomentMatrix mm = RandomMoments(3, 4, 13);
+  const ClusterMoments empty(4);
+  const DeltaCoefficients add = AddDeltaCoefficients(kind, empty);
+  EXPECT_EQ(add.a, 0.0);
+  EXPECT_EQ(add.g, 0.0);
+  EXPECT_EQ(add.b, kind == ObjectiveKind::kUcpc ? 2.0 : 1.0);
+  const double v = mm.total_variance(1);
+  EXPECT_NEAR(add.b * v, ObjectiveAfterAdd(kind, empty, mm, 1),
+              1e-12 * (1.0 + v));
+}
+
 std::string ObjectiveName(
     const ::testing::TestParamInfo<ObjectiveKind>& param_info) {
   const std::string raw = ObjectiveKindName(param_info.param);

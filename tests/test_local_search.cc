@@ -3,6 +3,7 @@
 // determinism, and recovery of planted structure.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "clustering/cluster_stats.h"
@@ -71,36 +72,58 @@ TEST_P(LocalSearchObjective, ObjectiveNeverIncreasesFromInitialPartition) {
               1e-9 * (1.0 + out.objective));
 }
 
+// No single relocation of `labels` strictly improves `kind`'s objective by
+// the Corollary 1 closed forms (local optimality, Proposition 4's fixed
+// point). Relocations that would empty their source are not moves.
+void ExpectOneMoveOptimal(ObjectiveKind kind, const MomentMatrix& mm,
+                          const std::vector<int>& labels, int k,
+                          double objective) {
+  std::vector<ClusterMoments> stats(k, ClusterMoments(mm.dims()));
+  for (std::size_t i = 0; i < mm.size(); ++i) stats[labels[i]].Add(mm, i);
+  for (std::size_t i = 0; i < mm.size(); ++i) {
+    const int src = labels[i];
+    if (stats[src].size() <= 1) continue;
+    const double j_src = Objective(kind, stats[src]);
+    const double j_src_minus = ObjectiveAfterRemove(kind, stats[src], mm, i);
+    for (int c = 0; c < k; ++c) {
+      if (c == src) continue;
+      const double j_c = Objective(kind, stats[c]);
+      const double j_c_plus = ObjectiveAfterAdd(kind, stats[c], mm, i);
+      const double delta = (j_src_minus + j_c_plus) - (j_src + j_c);
+      EXPECT_GE(delta, -1e-7 * (1.0 + objective))
+          << "object " << i << " -> cluster " << c;
+    }
+  }
+}
+
 TEST_P(LocalSearchObjective, ConvergedStateIsOneMoveOptimal) {
-  // After convergence no single relocation can strictly improve the
-  // objective (local optimality, Proposition 4's fixed point).
   const auto ds = PlantedDataset(60, 2, 3, 5);
   const MomentMatrix& mm = ds.moments();
   LocalSearchParams params;
   params.objective = GetParam();
   common::Rng rng(6);
   const LocalSearchOutcome out = RunLocalSearch(mm, 3, params, &rng);
+  ExpectOneMoveOptimal(params.objective, mm, out.labels, 3, out.objective);
+}
 
-  std::vector<ClusterMoments> stats(3, ClusterMoments(mm.dims()));
-  for (std::size_t i = 0; i < mm.size(); ++i) {
-    stats[out.labels[i]].Add(mm, i);
+TEST_P(LocalSearchObjective, StartsFromAnEmptyClusterExactly) {
+  // {0, 0, 1, 1, 0, 0, ...} with k = 3: cluster 2 starts empty, so the
+  // proposal sweep prices moves into it with the s = 0 coefficients (the
+  // exact singleton objective, no 0/0).
+  const auto ds = PlantedDataset(60, 2, 3, 29);
+  const MomentMatrix& mm = ds.moments();
+  std::vector<int> init(mm.size());
+  for (std::size_t i = 0; i < init.size(); ++i) {
+    init[i] = static_cast<int>((i / 2) % 2);
   }
-  for (std::size_t i = 0; i < mm.size(); ++i) {
-    const int src = out.labels[i];
-    if (stats[src].size() <= 1) continue;
-    const double j_src = Objective(params.objective, stats[src]);
-    const double j_src_minus =
-        ObjectiveAfterRemove(params.objective, stats[src], mm, i);
-    for (int c = 0; c < 3; ++c) {
-      if (c == src) continue;
-      const double j_c = Objective(params.objective, stats[c]);
-      const double j_c_plus =
-          ObjectiveAfterAdd(params.objective, stats[c], mm, i);
-      const double delta = (j_src_minus + j_c_plus) - (j_src + j_c);
-      EXPECT_GE(delta, -1e-7 * (1.0 + out.objective))
-          << "object " << i << " -> cluster " << c;
-    }
-  }
+  LocalSearchParams params;
+  params.objective = GetParam();
+  const LocalSearchOutcome out = RunLocalSearchFrom(mm, 3, params, init);
+  ASSERT_TRUE(std::isfinite(out.objective));
+  EXPECT_NEAR(out.objective, TotalObjective(GetParam(), mm, out.labels, 3),
+              1e-9 * (1.0 + out.objective));
+  EXPECT_GT(out.moves, 0);
+  ExpectOneMoveOptimal(params.objective, mm, out.labels, 3, out.objective);
 }
 
 TEST_P(LocalSearchObjective, DeterministicGivenSeed) {

@@ -3,7 +3,8 @@
 // doubles for every primitive, on every input shape — full lane groups,
 // remainder lanes, all-tail rows shorter than one lane block — and the
 // parity must survive all the way up through the tile producers, the
-// chunked MomentView plumbing, and the CK-means reduced-moment sweep.
+// chunked MomentView plumbing, the CK-means reduced-moment sweep, and the
+// UCPC/MMVar relocation sweep.
 // This is the contract (simd.h) that makes --simd_isa a pure throughput
 // knob: forcing a path can change speed, never values.
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 
 #include "clustering/ckmeans.h"
 #include "clustering/kernels.h"
+#include "clustering/mmvar.h"
 #include "clustering/simd/simd.h"
+#include "clustering/ucpc.h"
 #include "clustering/ukmeans.h"
 #include "common/rng.h"
 #include "data/benchmark_gen.h"
@@ -171,6 +174,39 @@ TEST(SimdKernels, NearestTwoBitIdenticalAcrossIsas) {
           EXPECT_TRUE(BitsEqual(want_bd, bd)) << "isa=" << IsaName(isa);
           EXPECT_TRUE(BitsEqual(want_sd, sd)) << "isa=" << IsaName(isa);
         }
+      }
+    }
+  }
+}
+
+// The relocation center sweep: lanes run across centers, so the center
+// count has its tails (k % 16, k % register width) and m has none — both
+// axes still sweep small, exact and remainder sizes.
+TEST(SimdKernels, CenterSqDistancesBitIdenticalAcrossIsas) {
+  const KernelTable* ref = TableFor(Isa::kScalar);
+  ASSERT_NE(ref, nullptr);
+  common::Rng rng(0x51D3);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                              std::size_t{16}, std::size_t{17}}) {
+    for (const int k : {1, 3, 4, 5, 16, 17, 33}) {
+      const std::vector<double> point = RandomVector(m, &rng);
+      const std::vector<double> centers_cm = RandomVector(k * m, &rng);
+      std::vector<double> want(k, -1.0);
+      ref->center_sq_distances(point.data(), centers_cm.data(), k, m,
+                               want.data());
+      for (int c = 0; c < k; ++c) {
+        std::vector<double> row(m);
+        for (std::size_t j = 0; j < m; ++j) row[j] = centers_cm[j * k + c];
+        const double d2 = ref->squared_distance(point.data(), row.data(), m);
+        EXPECT_NEAR(want[c], d2, 1e-12 * (1.0 + d2))
+            << "k=" << k << " m=" << m << " c=" << c;
+      }
+      for (Isa isa : AvailableIsas()) {
+        std::vector<double> got(k, -2.0);
+        TableFor(isa)->center_sq_distances(point.data(), centers_cm.data(), k,
+                                           m, got.data());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(), k * sizeof(double)))
+            << "k=" << k << " m=" << m << " isa=" << IsaName(isa);
       }
     }
   }
@@ -366,6 +402,39 @@ TEST(SimdKernels, CkmeansReducedSweepBitIdenticalUnderForcedIsas) {
         << "isa=" << IsaName(isa);
     EXPECT_EQ(out.bounds_skipped, want.bounds_skipped)
         << "isa=" << IsaName(isa);
+  }
+}
+
+// UCPC and MMVar propose their relocations through the dispatched center
+// sweep: forced scalar and auto dispatch must agree on labels, objective
+// bits and passes at every thread count.
+TEST(SimdKernels, UcpcMmvarBitIdenticalUnderForcedIsas) {
+  IsaGuard guard;
+  const auto ds = SmallDataset(400, 17, 6, 61);  // 17 = one group + tail
+  const uncertain::MomentView mm = ds.moments().view();
+  constexpr int kK = 6;  // one 4-wide register + two single centers
+  ASSERT_TRUE(ForceIsa(Isa::kScalar));
+  const auto want_ucpc = Ucpc::RunOnMoments(mm, kK, 5);
+  const auto want_mmvar = Mmvar::RunOnMoments(mm, kK, 5);
+  EXPECT_GT(want_ucpc.moves, 0);
+  for (const Isa isa : {Isa::kScalar, Isa::kAuto}) {
+    ASSERT_TRUE(ForceIsa(isa));
+    for (const int threads : {1, 2, 8}) {
+      engine::EngineConfig config;
+      config.num_threads = threads;
+      config.block_size = 64;
+      const engine::Engine eng(config);
+      const auto ucpc = Ucpc::RunOnMoments(mm, kK, 5, Ucpc::Params(), eng);
+      const auto mmvar = Mmvar::RunOnMoments(mm, kK, 5, Mmvar::Params(), eng);
+      const std::string where =
+          "isa=" + IsaName(isa) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(ucpc.labels, want_ucpc.labels) << where;
+      EXPECT_TRUE(BitsEqual(want_ucpc.objective, ucpc.objective)) << where;
+      EXPECT_EQ(ucpc.passes, want_ucpc.passes) << where;
+      EXPECT_EQ(mmvar.labels, want_mmvar.labels) << where;
+      EXPECT_TRUE(BitsEqual(want_mmvar.objective, mmvar.objective)) << where;
+      EXPECT_EQ(mmvar.passes, want_mmvar.passes) << where;
+    }
   }
 }
 
