@@ -4,12 +4,14 @@
 // runs this twice on the same dataset_gen-produced file under a hard
 // `ulimit -v`:
 //
-//   --mode=stream  -> BinaryDatasetReader -> DatasetBuilder batches; only
-//                     O(batch) pdf objects are ever resident. Expected to
-//                     finish: INGEST_SMOKE RESULT=OK.
-//   --mode=inram   -> ReadUncertainDataset materializes every pdf object
-//                     before the moments are packed. Expected to exhaust the
-//                     cap: INGEST_SMOKE RESULT=OOM.
+//   --mode=stream  -> StreamMomentsFromFile decodes batches of records
+//                     straight into moment rows; no pdf object is ever
+//                     built, only one batch of record bytes is resident.
+//                     Expected to finish: INGEST_SMOKE RESULT=OK.
+//   --mode=inram   -> ReadUncertainDataset, then dataset.objects() builds
+//                     every pdf object (what any object-consuming algorithm
+//                     forces). Expected to exhaust the cap:
+//                     INGEST_SMOKE RESULT=OOM.
 //
 // The RESULT= marker is machine-readable on purpose: CI greps for it instead
 // of inspecting bare exit codes, so an unrelated crash cannot masquerade as
@@ -79,8 +81,11 @@ int Run(int argc, char** argv) {
       return 1;
     }
     const data::UncertainDataset dataset = std::move(ds).ValueOrDie();
-    // Copy so the matrix survives the dataset; the all-resident objects are
-    // the memory hog this mode exists to demonstrate.
+    // The read decodes moments only; building the all-resident pdf objects
+    // is the memory hog this mode exists to demonstrate.
+    std::printf("[ingest smoke] built %zu pdf objects\n",
+                dataset.objects().size());
+    // Copy so the matrix survives the dataset.
     mm = dataset.moments();
     labels = dataset.labels();
   } else {

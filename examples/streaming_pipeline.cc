@@ -5,8 +5,8 @@
 //
 // Walks through the dataset I/O layer added for large-n workloads:
 //   1. BinaryDatasetWriter — serialize objects one at a time (O(m) memory),
-//   2. StreamMomentsFromFile — BinaryDatasetReader batches feeding
-//      DatasetBuilder, so only one batch of pdf objects is ever resident,
+//   2. StreamMomentsFromFile — BinaryDatasetReader batches decoded straight
+//      into moment rows, so no pdf object is ever built,
 //   3. UK-means / UCPC on the streamed MomentMatrix via RunOnMoments,
 //   4. the bit-identity guarantee: streamed moments equal the classic
 //      in-memory path exactly, for any batch size and thread count.

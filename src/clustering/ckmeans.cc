@@ -13,7 +13,6 @@
 #include "common/stopwatch.h"
 #include "engine/parallel_for.h"
 #include "io/ingest.h"
-#include "uncertain/dataset_builder.h"
 
 namespace uclust::clustering {
 
@@ -469,8 +468,7 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
         path + ": need 1 <= k <= n, got k=" + std::to_string(k) + ", n=" +
         std::to_string(n));
   }
-  const std::size_t default_batch =
-      uncertain::DatasetBuilder::kDefaultBatchSize;
+  const std::size_t default_batch = io::kDefaultBatchSize;
 
   // Auto mode: the reduced representation is only (m + 1) doubles per
   // object — when that fits the budget, one streaming pass materializes it

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "uncertain/dataset_builder.h"
 
 namespace uclust::data {
 
@@ -81,10 +80,41 @@ UncertainDataset::UncertainDataset(
     std::string name, std::vector<uncertain::UncertainObject> objects,
     std::vector<int> labels, int num_classes)
     : name_(std::move(name)),
-      objects_(std::move(objects)),
+      shared_(std::make_shared<Shared>()),
       labels_(std::move(labels)),
       num_classes_(num_classes) {
-  assert(labels_.empty() || labels_.size() == objects_.size());
+  shared_->n = objects.size();
+  shared_->m = objects.empty() ? 0 : objects[0].dims();
+  shared_->objects = std::move(objects);
+  shared_->objects_ready.store(true, std::memory_order_release);
+  assert(labels_.empty() || labels_.size() == shared_->n);
+}
+
+UncertainDataset UncertainDataset::Lazy(
+    std::string name, uncertain::MomentMatrix moments,
+    std::function<std::vector<uncertain::UncertainObject>()> build_objects,
+    std::vector<int> labels, int num_classes) {
+  UncertainDataset ds(std::move(name), {}, {}, num_classes);
+  ds.labels_ = std::move(labels);
+  Shared& shared = *ds.shared_;
+  shared.n = moments.size();
+  shared.m = moments.dims();
+  shared.objects_ready.store(false, std::memory_order_release);
+  shared.build_objects = std::move(build_objects);
+  shared.moments = std::move(moments);
+  shared.moments_ready.store(true, std::memory_order_release);
+  assert(ds.labels_.empty() || ds.labels_.size() == shared.n);
+  return ds;
+}
+
+void UncertainDataset::BuildObjects() const {
+  Shared& shared = *shared_;
+  std::lock_guard<std::mutex> lock(shared.mu);
+  if (shared.objects_ready.load(std::memory_order_relaxed)) return;
+  shared.objects = shared.build_objects();
+  assert(shared.objects.size() == shared.n);
+  shared.build_objects = nullptr;  // releases what it held
+  shared.objects_ready.store(true, std::memory_order_release);
 }
 
 UncertainDataset UncertainDataset::FromDeterministic(
@@ -104,11 +134,12 @@ UncertainDataset UncertainDataset::Subsampled(std::size_t max_n,
   common::Rng rng(seed);
   auto picks = rng.SampleWithoutReplacement(size(), max_n);
   std::sort(picks.begin(), picks.end());
+  const std::vector<uncertain::UncertainObject>& all = objects();
   std::vector<uncertain::UncertainObject> objects;
   objects.reserve(max_n);
   std::vector<int> new_labels;
   for (std::size_t i : picks) {
-    objects.push_back(objects_[i]);
+    objects.push_back(all[i]);
     if (!labels_.empty()) new_labels.push_back(labels_[i]);
   }
   return UncertainDataset(name_ + "-sub", std::move(objects),
@@ -116,15 +147,16 @@ UncertainDataset UncertainDataset::Subsampled(std::size_t max_n,
 }
 
 const uncertain::MomentMatrix& UncertainDataset::moments() const {
-  if (!moments_ready_) {
-    // The resident objects are just one ObjectSource behind the shared
-    // streaming builder; file-backed datasets take the same path through
-    // io::FileObjectSource without ever materializing all objects.
-    uncertain::VectorObjectSource source(objects_);
-    moments_ = uncertain::DatasetBuilder::BuildMoments(&source);
-    moments_ready_ = true;
+  Shared& shared = *shared_;
+  if (!shared.moments_ready.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(shared.mu);
+    if (!shared.moments_ready.load(std::memory_order_relaxed)) {
+      // Only an in-memory dataset gets here, so its objects are resident.
+      shared.moments = uncertain::MomentMatrix::FromObjects(shared.objects);
+      shared.moments_ready.store(true, std::memory_order_release);
+    }
   }
-  return moments_;
+  return shared.moments;
 }
 
 }  // namespace uclust::data

@@ -3,6 +3,10 @@
 #ifndef UCLUST_DATA_DATASET_H_
 #define UCLUST_DATA_DATASET_H_
 
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,13 +51,28 @@ DeterministicDataset Subsample(const DeterministicDataset& dataset,
 
 /// An uncertain dataset: n uncertain objects with an optional reference
 /// classification carried over from the deterministic source.
+///
+/// Copies share the (immutable) objects and moment cache. A dataset made
+/// by Lazy() — what io::ReadUncertainDataset returns — starts with only its
+/// moments; its pdf objects are built on the first call to objects(),
+/// object(i) or Subsampled(), exactly once even when that first call comes
+/// from several threads at a time.
 class UncertainDataset {
  public:
-  UncertainDataset() = default;
+  UncertainDataset() : UncertainDataset("", {}, {}, 0) {}
   /// Creates a dataset; labels may be empty.
   UncertainDataset(std::string name,
                    std::vector<uncertain::UncertainObject> objects,
                    std::vector<int> labels, int num_classes);
+
+  /// A dataset of moments.size() objects of moments.dims() dimensions whose
+  /// objects come from `build_objects`, called once on first use and then
+  /// released. The objects it returns must have exactly `moments` as their
+  /// moments, and it must not fail (validate its input beforehand).
+  static UncertainDataset Lazy(
+      std::string name, uncertain::MomentMatrix moments,
+      std::function<std::vector<uncertain::UncertainObject>()> build_objects,
+      std::vector<int> labels, int num_classes);
 
   /// Wraps deterministic points as Dirac uncertain objects (the paper's
   /// "Case 1": clustering observed representations only).
@@ -62,31 +81,33 @@ class UncertainDataset {
   /// Dataset name (for reports).
   const std::string& name() const { return name_; }
   /// Number of objects n.
-  std::size_t size() const { return objects_.size(); }
-  /// Dimensionality m.
-  std::size_t dims() const {
-    return objects_.empty() ? 0 : objects_[0].dims();
-  }
-  /// All objects.
+  std::size_t size() const { return shared_->n; }
+  /// Dimensionality m (0 for an empty in-memory dataset).
+  std::size_t dims() const { return shared_->m; }
+  /// All objects (built here on first use).
   const std::vector<uncertain::UncertainObject>& objects() const {
-    return objects_;
+    if (!shared_->objects_ready.load(std::memory_order_acquire)) {
+      BuildObjects();
+    }
+    return shared_->objects;
   }
-  /// The i-th object.
+  /// The i-th object (built here on first use).
   const uncertain::UncertainObject& object(std::size_t i) const {
-    return objects_[i];
+    return objects()[i];
   }
   /// Reference labels (empty when unlabeled).
   const std::vector<int>& labels() const { return labels_; }
   /// Number of reference classes (0 when unlabeled).
   int num_classes() const { return num_classes_; }
 
-  /// Packs (and caches) the moment statistics of all objects. Internally the
-  /// resident objects are fed through uncertain::DatasetBuilder — the same
-  /// bounded-memory ingestion path file-backed datasets use (see
-  /// io/ingest.h) — so both paths produce bit-identical matrices.
+  /// The moment statistics of all objects, equal to
+  /// MomentMatrix::FromObjects(objects()) bit for bit. A Lazy() dataset has
+  /// them from the start; an in-memory one packs (and caches) them on first
+  /// use.
   const uncertain::MomentMatrix& moments() const;
 
-  /// Uniform subsample without replacement of at most `max_n` objects.
+  /// Uniform subsample without replacement of at most `max_n` objects (an
+  /// in-memory dataset; builds this one's objects first).
   UncertainDataset Subsampled(std::size_t max_n, uint64_t seed) const;
 
   /// Annotations linking a resident dataset back to its on-disk artifacts.
@@ -106,14 +127,27 @@ class UncertainDataset {
   }
 
  private:
+  // What copies share: the objects and the moment cache, each filled at
+  // most once under `mu` and published through its ready flag.
+  struct Shared {
+    std::size_t n = 0;
+    std::size_t m = 0;
+    std::mutex mu;
+    std::atomic<bool> objects_ready{false};
+    std::function<std::vector<uncertain::UncertainObject>()> build_objects;
+    std::vector<uncertain::UncertainObject> objects;
+    std::atomic<bool> moments_ready{false};
+    uncertain::MomentMatrix moments;
+  };
+
+  void BuildObjects() const;
+
   std::string name_;
-  std::vector<uncertain::UncertainObject> objects_;
+  std::shared_ptr<Shared> shared_;
   std::vector<int> labels_;
   int num_classes_ = 0;
   std::string source_path_;
   std::string samples_sidecar_path_;
-  mutable uncertain::MomentMatrix moments_;  // lazily packed
-  mutable bool moments_ready_ = false;
 };
 
 }  // namespace uclust::data

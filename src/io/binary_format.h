@@ -37,9 +37,11 @@
 //
 // "Constructor-exact" is the format's core guarantee: the stored parameters
 // feed straight back into the pdf constructors (TruncatedNormalPdf::
-// FromHalfWidth, DiscretePdf::FromNormalized, ...), so a write -> read round
-// trip reproduces every moment bit-for-bit and streamed ingestion matches
-// the in-memory builder exactly (tests/test_io.cc).
+// FromHalfWidth, DiscretePdf::FromNormalized, ...) and into the per-type
+// static Moments() functions those constructors run, so a write -> read
+// round trip reproduces every moment bit-for-bit, whether the reader builds
+// the pdfs or decodes the record straight into a moment row
+// (tests/test_io.cc).
 //
 // All integers are little-endian; all reals are IEEE-754 binary64. Version
 // history: 1 = initial layout.

@@ -1,10 +1,15 @@
 #include "io/dataset_reader.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <span>
 
+#include "engine/parallel_for.h"
 #include "io/binary_format.h"
 #include "uncertain/dirac_pdf.h"
 #include "uncertain/discrete_pdf.h"
@@ -13,6 +18,22 @@
 #include "uncertain/uniform_pdf.h"
 
 namespace uclust::io {
+
+// Object records as stored (u32 length prefix, then the payload), each
+// starting at bytes + starts[i]. Non-owning; the prefixes must already be
+// bounds-checked against the bytes.
+struct RecordView {
+  const unsigned char* bytes = nullptr;
+  std::span<const std::size_t> starts;
+
+  std::size_t size() const { return starts.size(); }
+  // The payload of record i (its m pdf records).
+  std::span<const unsigned char> record(std::size_t i) const {
+    uint32_t payload = 0;
+    std::memcpy(&payload, bytes + starts[i], sizeof(payload));
+    return {bytes + starts[i] + sizeof(payload), payload};
+  }
+};
 
 namespace {
 
@@ -48,70 +69,163 @@ constexpr double kMinNormalHalfWidth = 1e-12;
 // weights, so any legitimate file sums to 1 within a few ulps.
 constexpr double kWeightSumTolerance = 1e-6;
 
-// Deserializes one pdf record; returns nullptr on malformed input (truncated
-// payload or parameters outside the constructors' domains — non-finite
-// values included, so corrupt files are rejected rather than mis-parsed).
-uncertain::PdfPtr GetPdf(RecordCursor* cur) {
+// One pdf record's stored parameters.
+struct PdfRecord {
   uint8_t tag = 0;
-  if (!cur->Get(&tag)) return nullptr;
-  switch (tag) {
-    case kPdfDirac: {
-      double x = 0.0;
-      if (!cur->Get(&x) || !std::isfinite(x)) return nullptr;
-      return uncertain::DiracPdf::Make(x);
-    }
-    case kPdfUniform: {
-      double lo = 0.0, hi = 0.0;
-      if (!cur->Get(&lo) || !cur->Get(&hi) || !std::isfinite(lo) ||
-          !std::isfinite(hi) || !(lo < hi)) {
-        return nullptr;
-      }
-      return std::make_shared<uncertain::UniformPdf>(lo, hi);
-    }
-    case kPdfNormal: {
-      double mu = 0.0, sigma = 0.0, c = 0.0;
-      if (!cur->Get(&mu) || !cur->Get(&sigma) || !cur->Get(&c) ||
-          !std::isfinite(mu) || !std::isfinite(sigma) || !std::isfinite(c) ||
-          !(sigma > 0.0) || !(c >= kMinNormalHalfWidth)) {
-        return nullptr;
-      }
-      return uncertain::TruncatedNormalPdf::FromHalfWidth(mu, sigma, c);
-    }
-    case kPdfExponential: {
-      double w = 0.0, rate = 0.0;
-      if (!cur->Get(&w) || !cur->Get(&rate) || !std::isfinite(w) ||
-          !std::isfinite(rate) || !(rate > 0.0)) {
-        return nullptr;
-      }
-      return uncertain::TruncatedExponentialPdf::Make(w, rate);
-    }
+  double a = 0.0, b = 0.0, c = 0.0;     // per tag, binary_format.h order
+  std::vector<double> values, weights;  // discrete only
+};
+
+// Reads and validates one pdf record into `*pdf`; false on malformed input
+// (truncated payload or parameters outside the pdf constructors' domains —
+// non-finite values included, so corrupt files are rejected rather than
+// mis-parsed).
+bool ParsePdf(RecordCursor* cur, PdfRecord* pdf) {
+  if (!cur->Get(&pdf->tag)) return false;
+  switch (pdf->tag) {
+    case kPdfDirac:
+      return cur->Get(&pdf->a) && std::isfinite(pdf->a);
+    case kPdfUniform:
+      return cur->Get(&pdf->a) && cur->Get(&pdf->b) &&
+             std::isfinite(pdf->a) && std::isfinite(pdf->b) &&
+             pdf->a < pdf->b;
+    case kPdfNormal:
+      return cur->Get(&pdf->a) && cur->Get(&pdf->b) && cur->Get(&pdf->c) &&
+             std::isfinite(pdf->a) && std::isfinite(pdf->b) &&
+             std::isfinite(pdf->c) && pdf->b > 0.0 &&
+             pdf->c >= kMinNormalHalfWidth;
+    case kPdfExponential:
+      return cur->Get(&pdf->a) && cur->Get(&pdf->b) &&
+             std::isfinite(pdf->a) && std::isfinite(pdf->b) && pdf->b > 0.0;
     case kPdfDiscrete: {
       uint32_t count = 0;
-      if (!cur->Get(&count) || count == 0) return nullptr;
+      if (!cur->Get(&count) || count == 0) return false;
       // The record must physically hold count values + count weights;
       // checking before allocating keeps an untrusted count field from
       // triggering a huge allocation (which a CI ulimit run would
       // misreport as the expected OOM).
       if (static_cast<std::size_t>(count) * 2 * sizeof(double) >
           cur->remaining()) {
-        return nullptr;
+        return false;
       }
-      std::vector<double> values(count), weights(count);
-      for (double& v : values) {
-        if (!cur->Get(&v) || !std::isfinite(v)) return nullptr;
+      pdf->values.resize(count);
+      pdf->weights.resize(count);
+      for (double& v : pdf->values) {
+        if (!cur->Get(&v) || !std::isfinite(v)) return false;
       }
       double sum = 0.0;
-      for (double& w : weights) {
-        if (!cur->Get(&w) || !std::isfinite(w) || !(w > 0.0)) return nullptr;
+      for (double& w : pdf->weights) {
+        if (!cur->Get(&w) || !std::isfinite(w) || !(w > 0.0)) return false;
         sum += w;
       }
-      if (std::fabs(sum - 1.0) > kWeightSumTolerance) return nullptr;
-      return uncertain::DiscretePdf::FromNormalized(std::move(values),
-                                                    std::move(weights));
+      return std::fabs(sum - 1.0) <= kWeightSumTolerance;
     }
     default:
-      return nullptr;
+      return false;
   }
+}
+
+// Moments of a parsed pdf record: the pdf type's own Moments() on the
+// stored parameters, exactly what its constructor runs.
+uncertain::PdfMoments MomentsOf(const PdfRecord& pdf) {
+  switch (pdf.tag) {
+    case kPdfDirac:
+      return uncertain::DiracPdf::Moments(pdf.a);
+    case kPdfUniform:
+      return uncertain::UniformPdf::Moments(pdf.a, pdf.b);
+    case kPdfNormal:
+      return uncertain::TruncatedNormalPdf::Moments(pdf.a, pdf.b, pdf.c);
+    case kPdfExponential:
+      return uncertain::TruncatedExponentialPdf::Moments(pdf.a, pdf.b);
+    default:
+      return uncertain::DiscretePdf::Moments(pdf.values, pdf.weights);
+  }
+}
+
+// The pdf object of a parsed pdf record (moves a discrete record's arrays).
+uncertain::PdfPtr MakePdf(PdfRecord* pdf) {
+  switch (pdf->tag) {
+    case kPdfDirac:
+      return uncertain::DiracPdf::Make(pdf->a);
+    case kPdfUniform:
+      return std::make_shared<uncertain::UniformPdf>(pdf->a, pdf->b);
+    case kPdfNormal:
+      return uncertain::TruncatedNormalPdf::FromHalfWidth(pdf->a, pdf->b,
+                                                          pdf->c);
+    case kPdfExponential:
+      return uncertain::TruncatedExponentialPdf::Make(pdf->a, pdf->b);
+    default:
+      return uncertain::DiscretePdf::FromNormalized(std::move(pdf->values),
+                                                    std::move(pdf->weights));
+  }
+}
+
+// The one validating decoder of object records. It holds reusable scratch,
+// so each thread uses its own. Both Decode calls return nullptr on success
+// and otherwise name the defect.
+class RecordDecoder {
+ public:
+  explicit RecordDecoder(std::size_t dims)
+      : dims_(dims), mean_(dims), mu2_(dims), var_(dims) {}
+
+  // Decodes `record` into moment row `row` of `out` (already sized).
+  const char* DecodeMoments(std::span<const unsigned char> record,
+                            std::size_t row, MomentColumns* out);
+  // Decodes `record` into an object appended to `*out`.
+  const char* DecodeObject(std::span<const unsigned char> record,
+                           std::vector<uncertain::UncertainObject>* out);
+
+ private:
+  // Parses the record's m pdf records into pdf_ in turn, calling on_pdf(j)
+  // after each.
+  template <typename OnPdf>
+  const char* ForEachPdf(std::span<const unsigned char> record,
+                         OnPdf&& on_pdf);
+
+  std::size_t dims_;
+  PdfRecord pdf_;
+  std::vector<double> mean_, mu2_, var_;
+};
+
+template <typename OnPdf>
+const char* RecordDecoder::ForEachPdf(std::span<const unsigned char> record,
+                                      OnPdf&& on_pdf) {
+  RecordCursor cur(record.data(), record.size());
+  for (std::size_t j = 0; j < dims_; ++j) {
+    if (!ParsePdf(&cur, &pdf_)) return "malformed pdf record";
+    on_pdf(j);
+  }
+  return cur.exhausted() ? nullptr : "trailing bytes";
+}
+
+const char* RecordDecoder::DecodeMoments(std::span<const unsigned char> record,
+                                         std::size_t row,
+                                         MomentColumns* out) {
+  const char* defect = ForEachPdf(record, [&](std::size_t j) {
+    const uncertain::PdfMoments moments = MomentsOf(pdf_);
+    mean_[j] = moments.mean;
+    mu2_[j] = moments.second_moment;
+    var_[j] = moments.variance();
+  });
+  if (defect != nullptr) return defect;
+  const std::size_t at = row * dims_;
+  uncertain::MomentMatrix::PackRow(mean_, mu2_, var_, out->mean.data() + at,
+                                   out->mu2.data() + at,
+                                   out->var.data() + at,
+                                   out->total_var.data() + row);
+  return nullptr;
+}
+
+const char* RecordDecoder::DecodeObject(
+    std::span<const unsigned char> record,
+    std::vector<uncertain::UncertainObject>* out) {
+  std::vector<uncertain::PdfPtr> pdfs;
+  pdfs.reserve(dims_);
+  const char* defect = ForEachPdf(
+      record, [&](std::size_t) { pdfs.push_back(MakePdf(&pdf_)); });
+  if (defect != nullptr) return defect;
+  out->emplace_back(std::move(pdfs));
+  return nullptr;
 }
 
 }  // namespace
@@ -131,6 +245,9 @@ common::Status BinaryDatasetReader::Open(const std::string& path) {
   path_ = path;
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) return common::Status::IOError("cannot open " + path);
+  // Records are read a few bytes at a time; a larger stdio buffer turns
+  // that into fewer, larger reads.
+  std::setvbuf(file_, nullptr, _IOFBF, 1 << 16);
   if (std::fseek(file_, 0, SEEK_END) != 0) return Corrupt("cannot seek");
   const long end = std::ftell(file_);
   if (end < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
@@ -193,56 +310,163 @@ common::Status BinaryDatasetReader::Open(const std::string& path) {
       std::fread(name_.data(), 1, name_len, file_) != name_len) {
     return Corrupt("file too short for the dataset name");
   }
+  offset_ = kHeaderBytes + name_len;
   cursor_ = 0;
   return common::Status::Ok();
 }
 
-common::Status BinaryDatasetReader::ReadBatch(
-    std::size_t max, std::vector<uncertain::UncertainObject>* out) {
+common::Status BinaryDatasetReader::CheckPayload(uint32_t payload) const {
+  // Bounds-check the untrusted length before anything is sized from it: a
+  // corrupt record must surface as an error, not as an attempted huge
+  // allocation.
+  if (offset_ + sizeof(payload) > file_size_ ||
+      payload > file_size_ - offset_ - sizeof(payload)) {
+    return Corrupt("truncated file: object record " + std::to_string(cursor_) +
+                   " runs past the end of the file");
+  }
+  return common::Status::Ok();
+}
+
+common::Status BinaryDatasetReader::ReadRecords(std::size_t max) {
   if (file_ == nullptr) {
     return common::Status::InvalidArgument("reader is not open");
   }
   if (max == 0) return common::Status::InvalidArgument("max must be > 0");
-  out->clear();
   const std::size_t count = std::min(max, remaining());
-  out->reserve(count);
+  batch_bytes_.clear();
+  batch_starts_.clear();
+  // Growing the buffer record by record would copy it over and over.
+  batch_bytes_.reserve(std::min<uint64_t>(file_size_ - offset_, 1u << 22));
   for (std::size_t i = 0; i < count; ++i) {
     uint32_t payload = 0;
     if (std::fread(&payload, sizeof(payload), 1, file_) != 1) {
       return Corrupt("truncated file: missing record length for object " +
                      std::to_string(cursor_));
     }
-    if (payload > file_size_) {
-      // Bounds-check the untrusted length before allocating: a corrupt
-      // record must surface as an error, not as an attempted huge alloc.
-      return Corrupt("object record " + std::to_string(cursor_) +
-                     " declares more bytes than the file holds");
-    }
-    record_buf_.resize(payload);
-    if (payload > 0 &&
-        std::fread(record_buf_.data(), 1, payload, file_) != payload) {
+    UCLUST_RETURN_NOT_OK(CheckPayload(payload));
+    const std::size_t at = batch_bytes_.size();
+    batch_bytes_.resize(at + sizeof(payload) + payload);
+    std::memcpy(batch_bytes_.data() + at, &payload, sizeof(payload));
+    if (payload > 0 && std::fread(batch_bytes_.data() + at + sizeof(payload),
+                                  1, payload, file_) != payload) {
       return Corrupt("truncated file: short object record " +
                      std::to_string(cursor_));
     }
-    RecordCursor cur(record_buf_.data(), record_buf_.size());
-    std::vector<uncertain::PdfPtr> pdfs;
-    pdfs.reserve(dims_);
-    for (std::size_t j = 0; j < dims_; ++j) {
-      uncertain::PdfPtr pdf = GetPdf(&cur);
-      if (pdf == nullptr) {
-        return Corrupt("malformed pdf record in object " +
-                       std::to_string(cursor_));
-      }
-      pdfs.push_back(std::move(pdf));
-    }
-    if (!cur.exhausted()) {
-      return Corrupt("trailing bytes in object record " +
-                     std::to_string(cursor_));
-    }
-    out->emplace_back(std::move(pdfs));
+    batch_starts_.push_back(at);
+    offset_ += sizeof(payload) + payload;
     ++cursor_;
   }
   return common::Status::Ok();
+}
+
+common::Status BinaryDatasetReader::SkipRecords(std::size_t count) {
+  if (file_ == nullptr) {
+    return common::Status::InvalidArgument("reader is not open");
+  }
+  if (count > remaining()) {
+    return common::Status::InvalidArgument("cannot skip past the last object");
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    uint32_t payload = 0;
+    if (std::fread(&payload, sizeof(payload), 1, file_) != 1) {
+      return Corrupt("truncated file: missing record length for object " +
+                     std::to_string(cursor_));
+    }
+    UCLUST_RETURN_NOT_OK(CheckPayload(payload));
+    if (std::fseek(file_, static_cast<long>(payload), SEEK_CUR) != 0) {
+      return Corrupt("cannot seek past object record " +
+                     std::to_string(cursor_));
+    }
+    offset_ += sizeof(payload) + payload;
+    ++cursor_;
+  }
+  return common::Status::Ok();
+}
+
+common::Status BinaryDatasetReader::DecodeMomentRows(
+    const RecordView& records, std::size_t first_object,
+    const engine::Engine& eng, MomentColumns* out, std::size_t row) const {
+  // Rows are independent, so any thread count packs the same bytes; a
+  // defect is reported for the lowest failing object whatever the schedule.
+  std::atomic<std::size_t> first_bad{records.size()};
+  engine::ParallelFor(eng, records.size(), [&](const engine::BlockedRange& r) {
+    RecordDecoder decoder(dims_);
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      if (decoder.DecodeMoments(records.record(i), row + i, out) != nullptr) {
+        std::size_t seen = first_bad.load(std::memory_order_relaxed);
+        while (i < seen && !first_bad.compare_exchange_weak(
+                               seen, i, std::memory_order_relaxed)) {
+        }
+        return;
+      }
+    }
+  });
+  const std::size_t bad = first_bad.load();
+  if (bad == records.size()) return common::Status::Ok();
+  RecordDecoder decoder(dims_);
+  return Corrupt(
+      std::string(decoder.DecodeMoments(records.record(bad), row + bad, out)) +
+      " in object " + std::to_string(first_object + bad));
+}
+
+common::Status BinaryDatasetReader::ReadBatch(
+    std::size_t max, std::vector<uncertain::UncertainObject>* out) {
+  out->clear();
+  const std::size_t first = cursor_;
+  UCLUST_RETURN_NOT_OK(ReadRecords(max));
+  const RecordView records{batch_bytes_.data(), batch_starts_};
+  out->reserve(records.size());
+  RecordDecoder decoder(dims_);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (const char* defect = decoder.DecodeObject(records.record(i), out)) {
+      return Corrupt(std::string(defect) + " in object " +
+                     std::to_string(first + i));
+    }
+  }
+  return common::Status::Ok();
+}
+
+common::Result<std::size_t> BinaryDatasetReader::ReadMomentRows(
+    std::size_t max, const engine::Engine& eng, MomentColumns* out,
+    std::size_t row) {
+  const std::size_t first = cursor_;
+  UCLUST_RETURN_NOT_OK(ReadRecords(max));
+  const RecordView records{batch_bytes_.data(), batch_starts_};
+  UCLUST_RETURN_NOT_OK(DecodeMomentRows(records, first, eng, out, row));
+  return records.size();
+}
+
+common::Status BinaryDatasetReader::ReadSnapshot(
+    MappedRegion* snapshot, std::vector<std::size_t>* starts,
+    MomentColumns* moments) {
+  if (file_ == nullptr) {
+    return common::Status::InvalidArgument("reader is not open");
+  }
+  const uint64_t base = offset_;
+  auto region = ReadFileRegion(::fileno(file_), path_, base,
+                               static_cast<std::size_t>(file_size_ - base));
+  if (!region.ok()) return region.status();
+  *snapshot = std::move(region).ValueOrDie();
+  const std::size_t first = cursor_;
+  const std::size_t count = remaining();
+  starts->clear();
+  starts->reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    uint32_t payload = 0;
+    if (file_size_ - offset_ < sizeof(payload)) {
+      return Corrupt("truncated file: missing record length for object " +
+                     std::to_string(cursor_));
+    }
+    std::memcpy(&payload, snapshot->data() + (offset_ - base),
+                sizeof(payload));
+    UCLUST_RETURN_NOT_OK(CheckPayload(payload));
+    starts->push_back(static_cast<std::size_t>(offset_ - base));
+    offset_ += sizeof(payload) + payload;
+    ++cursor_;
+  }
+  moments->Resize(count, dims_);
+  return DecodeMomentRows(RecordView{snapshot->data(), *starts}, first,
+                          engine::Engine::Serial(), moments, 0);
 }
 
 common::Status BinaryDatasetReader::ReadLabels(std::vector<int>* labels) {
@@ -271,19 +495,38 @@ common::Result<data::UncertainDataset> ReadUncertainDataset(
     const std::string& path) {
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(path));
-  std::vector<uncertain::UncertainObject> objects;
-  // reader.size() is validated against the physical file size on Open, so
-  // this reserve is bounded; cap it anyway — growth is geometric beyond.
-  objects.reserve(std::min<std::size_t>(reader.size(), 1u << 20));
-  std::vector<uncertain::UncertainObject> batch;
-  while (reader.remaining() > 0) {
-    UCLUST_RETURN_NOT_OK(reader.ReadBatch(4096, &batch));
-    for (auto& o : batch) objects.push_back(std::move(o));
-  }
+  // The record bytes the objects are built from on first use; released
+  // (unmapped) once they are.
+  struct Snapshot {
+    MappedRegion bytes;
+    std::vector<std::size_t> starts;
+  };
+  auto snapshot = std::make_shared<Snapshot>();
+  MomentColumns cols;
+  UCLUST_RETURN_NOT_OK(
+      reader.ReadSnapshot(&snapshot->bytes, &snapshot->starts, &cols));
   std::vector<int> labels;
   UCLUST_RETURN_NOT_OK(reader.ReadLabels(&labels));
-  data::UncertainDataset ds(reader.name(), std::move(objects),
-                            std::move(labels), reader.num_classes());
+  const std::size_t m = reader.dims();
+  uncertain::MomentMatrix moments = uncertain::MomentMatrix::FromColumns(
+      reader.size(), m, std::move(cols.mean), std::move(cols.mu2),
+      std::move(cols.var), std::move(cols.total_var));
+  auto build_objects = [snapshot = std::move(snapshot), m] {
+    const RecordView records{snapshot->bytes.data(), snapshot->starts};
+    std::vector<uncertain::UncertainObject> objects;
+    objects.reserve(records.size());
+    RecordDecoder decoder(m);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      // ReadSnapshot validated every record, so this cannot fail.
+      [[maybe_unused]] const char* defect =
+          decoder.DecodeObject(records.record(i), &objects);
+      assert(defect == nullptr);
+    }
+    return objects;
+  };
+  data::UncertainDataset ds = data::UncertainDataset::Lazy(
+      reader.name(), std::move(moments), std::move(build_objects),
+      std::move(labels), reader.num_classes());
   // Annotate provenance: the sample-store factory keys its sidecar reuse
   // guard (and the default sidecar location) off the source file.
   ds.set_source_path(path);

@@ -4,43 +4,37 @@
 #include <memory>
 #include <utility>
 
-#include "engine/parallel_for.h"
 #include "io/moment_file.h"
 
 namespace uclust::io {
 
-std::span<const uncertain::UncertainObject> FileObjectSource::NextBatch(
-    std::size_t max) {
-  if (!status_.ok() || reader_->remaining() == 0) return {};
-  status_ = reader_->ReadBatch(max, &batch_);
-  if (!status_.ok()) return {};
-  return batch_;
-}
-
 namespace {
 
-// Streams every object of the opened `reader` into resident moment columns,
+// Decodes every object of the opened `reader` into resident moment columns,
 // then reads the labels and name the caller asked for.
 common::Result<uncertain::MomentMatrix> BuildResidentMoments(
-    BinaryDatasetReader* reader, const std::string& path,
-    const engine::Engine& eng, std::size_t batch_size,
-    std::vector<int>* labels, std::string* dataset_name) {
-  FileObjectSource source(reader);
-  uncertain::MomentMatrix mm =
-      uncertain::DatasetBuilder::BuildMoments(&source, eng, batch_size);
-  UCLUST_RETURN_NOT_OK(source.status());
-  if (mm.size() != reader->size()) {
-    return common::Status::Internal(
-        path + ": ingested " + std::to_string(mm.size()) + " of " +
-        std::to_string(reader->size()) + " objects");
+    BinaryDatasetReader* reader, const engine::Engine& eng,
+    std::size_t batch_size, std::vector<int>* labels,
+    std::string* dataset_name) {
+  const std::size_t n = reader->size();
+  const std::size_t m = reader->dims();
+  // n and m are validated against the file size on Open.
+  MomentColumns cols;
+  cols.Resize(n, m);
+  for (std::size_t row = 0; row < n;) {
+    auto got = reader->ReadMomentRows(batch_size, eng, &cols, row);
+    if (!got.ok()) return got.status();
+    row += got.ValueOrDie();
   }
   if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader->ReadLabels(labels));
   if (dataset_name != nullptr) *dataset_name = reader->name();
-  return mm;
+  return uncertain::MomentMatrix::FromColumns(
+      n, m, std::move(cols.mean), std::move(cols.mu2), std::move(cols.var),
+      std::move(cols.total_var));
 }
 
-// Writes the .umom sidecar of `dataset_path` straight to `sidecar_path`:
-// reader batches -> DatasetBuilder spill mode -> SidecarWriter.
+// Writes the .umom sidecar of `dataset_path` straight to `sidecar_path`,
+// one batch of decoded moment rows at a time.
 common::Status WriteMomentSidecar(const std::string& dataset_path,
                                   const std::string& sidecar_path,
                                   const engine::Engine& eng,
@@ -54,16 +48,14 @@ common::Status WriteMomentSidecar(const std::string& dataset_path,
   UCLUST_RETURN_NOT_OK(StampSource(dataset_path, &header));
   SidecarWriter writer;
   UCLUST_RETURN_NOT_OK(writer.Open(kMomentSidecar, sidecar_path, header));
-  MomentSidecarSink sink(&writer);
-  FileObjectSource source(&reader);
-  uncertain::DatasetBuilder builder(eng, &sink);
-  builder.Consume(&source, batch_size);
-  UCLUST_RETURN_NOT_OK(source.status());
-  UCLUST_RETURN_NOT_OK(builder.status());
-  if (builder.size() != reader.size()) {
-    return common::Status::Internal(
-        dataset_path + ": ingested " + std::to_string(builder.size()) +
-        " of " + std::to_string(reader.size()) + " objects");
+  MomentColumns cols;
+  while (reader.remaining() > 0) {
+    cols.Resize(std::min(batch_size, reader.remaining()), reader.dims());
+    auto got = reader.ReadMomentRows(batch_size, eng, &cols, 0);
+    if (!got.ok()) return got.status();
+    const double* columns[] = {cols.mean.data(), cols.mu2.data(),
+                               cols.var.data(), cols.total_var.data()};
+    UCLUST_RETURN_NOT_OK(writer.AppendRows(got.ValueOrDie(), columns));
   }
   return writer.Finish();
 }
@@ -76,7 +68,7 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
     std::string* dataset_name) {
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(path));
-  return BuildResidentMoments(&reader, path, eng, batch_size, labels,
+  return BuildResidentMoments(&reader, eng, batch_size, labels,
                               dataset_name);
 }
 
@@ -124,24 +116,11 @@ common::Result<std::size_t> MomentBatchStream::NextBatch(
   base_index_ = next_index_;
   batch_rows_ = 0;
   if (reader_->remaining() == 0) return std::size_t{0};
-  UCLUST_RETURN_NOT_OK(reader_->ReadBatch(max_rows, &objects_));
-  batch_rows_ = objects_.size();
+  cols_.Resize(std::min(max_rows, reader_->remaining()), m_);
+  auto got = reader_->ReadMomentRows(max_rows, engine_, &cols_, 0);
+  if (!got.ok()) return got.status();
+  batch_rows_ = got.ValueOrDie();
   next_index_ = base_index_ + batch_rows_;
-  mean_.resize(batch_rows_ * m_);
-  mu2_.resize(batch_rows_ * m_);
-  var_.resize(batch_rows_ * m_);
-  total_var_.resize(batch_rows_);
-  engine::ParallelFor(engine_, batch_rows_,
-                      [&](const engine::BlockedRange& r) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      const uncertain::UncertainObject& o = objects_[i];
-      const std::size_t row = i * m_;
-      uncertain::MomentMatrix::PackRow(o.mean(), o.second_moment(),
-                                       o.variance(), mean_.data() + row,
-                                       mu2_.data() + row, var_.data() + row,
-                                       total_var_.data() + i);
-    }
-  });
   return batch_rows_;
 }
 
@@ -153,20 +132,12 @@ common::Status MomentBatchStream::ReadMeanAt(std::size_t index,
   }
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(path_));
-  std::vector<uncertain::UncertainObject> batch;
-  std::size_t skipped = 0;
-  // Forward-skip in whole batches; only the batch holding `index` matters.
-  constexpr std::size_t kSkipBatch = 1024;
-  while (skipped + kSkipBatch <= index) {
-    UCLUST_RETURN_NOT_OK(reader.ReadBatch(kSkipBatch, &batch));
-    skipped += batch.size();
-  }
-  UCLUST_RETURN_NOT_OK(reader.ReadBatch(index - skipped + 1, &batch));
-  if (skipped + batch.size() != index + 1) {
-    return common::Status::Internal(path_ + ": short read in ReadMeanAt");
-  }
-  const auto mean = batch.back().mean();
-  std::copy(mean.begin(), mean.end(), out.begin());
+  UCLUST_RETURN_NOT_OK(reader.SkipRecords(index));
+  MomentColumns row;
+  row.Resize(1, m_);
+  auto got = reader.ReadMomentRows(1, engine::Engine::Serial(), &row, 0);
+  if (!got.ok()) return got.status();
+  std::copy(row.mean.begin(), row.mean.end(), out.begin());
   return common::Status::Ok();
 }
 
@@ -188,8 +159,8 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   // never requires materializing anything.
   const std::size_t row_bytes = SidecarRowBytes(kMomentSidecar, m, 1);
   if (!UseMappedBackend(options.backend, eng, n * row_bytes)) {
-    auto mm = BuildResidentMoments(&reader, path, eng, options.batch_size,
-                                   labels, dataset_name);
+    auto mm = BuildResidentMoments(&reader, eng, options.batch_size, labels,
+                                   dataset_name);
     if (!mm.ok()) return mm.status();
     return uncertain::MomentStorePtr(
         new uncertain::ResidentMomentStore(std::move(mm).ValueOrDie()));

@@ -1,22 +1,23 @@
 // File-backed streaming ingestion: binary dataset file -> moment statistics
 // in one bounded-memory pass.
 //
-// FileObjectSource adapts BinaryDatasetReader to the ObjectSource interface
-// consumed by uncertain::DatasetBuilder, so file-backed and in-memory
-// datasets share one ingestion path and produce bit-identical moments for
-// any batch size and engine thread count (tests/test_io.cc).
-//
-// Two entry points sit on top:
+// Every entry point here reads batches of record bytes and decodes them
+// straight into moment rows with the reader's one validating decoder
+// (BinaryDatasetReader::ReadMomentRows); no pdf object is ever built. The rows go through the canonical MomentMatrix::PackRow,
+// so they are bit-identical to MomentMatrix::FromObjects over the same
+// objects for any batch size and engine thread count (tests/test_io.cc).
 //
 //   * StreamMomentsFromFile — the classic fully-resident MomentMatrix; peak
-//     memory is the O(n m) moment columns plus one batch of pdf objects.
+//     memory is the O(n m) moment columns plus one batch of record bytes.
 //   * StreamMomentStoreFromFile — returns a MomentStore whose backend is
 //     selected by EngineConfig::memory_budget_bytes: Resident when the
 //     columns fit the budget (or it is unlimited), Mapped otherwise. On the
-//     Mapped path the builder spills each batch straight into a .umom
-//     sidecar (see moment_file.h), so peak memory is O(batch + chunk)
-//     regardless of n, and a valid matching sidecar from an earlier run is
-//     reused instead of rebuilt (OpenOrRebuildSidecar, sidecar_file.h).
+//     Mapped path each decoded batch goes straight into a .umom sidecar
+//     (see moment_file.h), so peak memory is O(batch + chunk) regardless of
+//     n, and a valid matching sidecar from an earlier run is reused instead
+//     of rebuilt (OpenOrRebuildSidecar, sidecar_file.h).
+//   * BuildMomentSidecar — that sidecar build on its own.
+//   * MomentBatchStream — batch-at-a-time rows for CkMeans::ClusterFile.
 #ifndef UCLUST_IO_INGEST_H_
 #define UCLUST_IO_INGEST_H_
 
@@ -29,40 +30,21 @@
 #include "engine/engine.h"
 #include "io/dataset_reader.h"
 #include "io/sidecar_file.h"
-#include "uncertain/dataset_builder.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
 
 namespace uclust::io {
 
-/// ObjectSource over an open BinaryDatasetReader; holds exactly one batch of
-/// deserialized objects at a time.
-class FileObjectSource final : public uncertain::ObjectSource {
- public:
-  /// `reader` must outlive the source and have a validated header.
-  explicit FileObjectSource(BinaryDatasetReader* reader) : reader_(reader) {}
+/// Default number of records per batch of the entry points below.
+inline constexpr std::size_t kDefaultBatchSize = 4096;
 
-  /// Error state of the underlying stream; check once draining is done
-  /// (NextBatch has no error channel, so read failures end the stream
-  /// early and are reported here).
-  const common::Status& status() const { return status_; }
-
-  std::span<const uncertain::UncertainObject> NextBatch(
-      std::size_t max) override;
-
- private:
-  BinaryDatasetReader* reader_;
-  std::vector<uncertain::UncertainObject> batch_;
-  common::Status status_;
-};
-
-/// Streams `path` into moment statistics with O(batch) resident pdf objects.
+/// Streams `path` into moment statistics, one batch of records at a time.
 /// `labels`/`dataset_name` (optional) receive the file's labels column and
 /// stored name.
 common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
     const std::string& path,
     const engine::Engine& eng = engine::Engine::Serial(),
-    std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize,
+    std::size_t batch_size = kDefaultBatchSize,
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
 
 /// Tuning of a StreamMomentStoreFromFile call.
@@ -80,7 +62,7 @@ struct MomentStoreOptions {
   /// rebuilt. false forces a rebuild.
   bool reuse_sidecar = true;
   /// Streaming batch size for the ingestion pass.
-  std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize;
+  std::size_t batch_size = kDefaultBatchSize;
 };
 
 /// Streams `path` into a MomentStore whose backend is selected by the
@@ -94,24 +76,23 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
 
 /// Builds (or rebuilds) the .umom moment sidecar for a binary dataset file
-/// in one bounded-memory pass: reader batches -> DatasetBuilder spill mode
-/// -> SidecarWriter, into a temp sibling renamed into place on success.
+/// in one bounded-memory pass: decoded moment batches -> SidecarWriter,
+/// into a temp sibling renamed into place on success.
 /// Used by `dataset_gen --emit-moments`.
 common::Status BuildMomentSidecar(
     const std::string& dataset_path, const std::string& sidecar_path,
     const engine::Engine& eng = engine::Engine::Serial(),
     std::size_t chunk_rows = 0,
-    std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize);
+    std::size_t batch_size = kDefaultBatchSize);
 
 /// Re-streamable batch-at-a-time moment statistics over a binary dataset
 /// file — the input side of the mini-batch CK-means driver (and any other
 /// consumer that wants moment rows in bounded memory without materializing
-/// a MomentStore). Each NextBatch() deserializes one batch of pdf objects
-/// and packs their moments into a reused flat scratch block through the
-/// canonical MomentMatrix::PackRow, so the served values are bit-identical
-/// to a full ingestion via DatasetBuilder for any batch size and thread
-/// count. Rewind() restarts the record cursor for multi-pass consumers
-/// (the underlying reader is forward-only, so a rewind reopens the file).
+/// a MomentStore). Each NextBatch() decodes one batch of records straight
+/// into a reused flat scratch block, bit-identical to every other moment
+/// path for any batch size and thread count. Rewind() restarts the record
+/// cursor for multi-pass consumers (the underlying reader is forward-only,
+/// so a rewind reopens the file).
 class MomentBatchStream {
  public:
   /// `eng` dispatches the per-batch packing pass.
@@ -142,13 +123,15 @@ class MomentBatchStream {
   /// Flat view over the current batch's moment rows (batch-local indices;
   /// valid until the next NextBatch/Rewind call).
   uncertain::MomentView batch_view() const {
-    return uncertain::MomentView(batch_rows_, m_, mean_.data(), mu2_.data(),
-                                 var_.data(), total_var_.data());
+    return uncertain::MomentView(batch_rows_, m_, cols_.mean.data(),
+                                 cols_.mu2.data(), cols_.var.data(),
+                                 cols_.total_var.data());
   }
 
-  /// Reads the mean vector of one object by absolute index through a fresh
-  /// forward scan (the format has no random access); `out` must have dims()
-  /// elements. O(index) — intended for rare lookups such as the CK-means
+  /// Reads the mean vector of one object by absolute index; `out` must have
+  /// dims() elements. A fresh reader skips the records before it by their
+  /// length prefixes (the format has no index), so it costs O(index) small
+  /// reads and one decode — meant for rare lookups such as the CK-means
   /// empty-cluster reseed, not for bulk access.
   common::Status ReadMeanAt(std::size_t index, std::span<double> out) const;
 
@@ -165,8 +148,7 @@ class MomentBatchStream {
   std::size_t next_index_ = 0;
   std::size_t batch_rows_ = 0;
   std::unique_ptr<BinaryDatasetReader> reader_;
-  std::vector<uncertain::UncertainObject> objects_;
-  std::vector<double> mean_, mu2_, var_, total_var_;
+  MomentColumns cols_;
 };
 
 }  // namespace uclust::io

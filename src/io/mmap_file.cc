@@ -59,6 +59,26 @@ common::Status ReadExact(int fd, const std::string& path,
   return common::Status::Ok();
 }
 
+// Reads the window into a fresh malloc buffer (*out; freed on failure): the
+// fallback of both region readers.
+common::Status ReadIntoHeap(int fd, const std::string& path,
+                            std::uint64_t offset, std::size_t length,
+                            unsigned char** out) {
+  unsigned char* buf = static_cast<unsigned char*>(std::malloc(length));
+  if (buf == nullptr) {
+    return common::Status::IOError(path + ": cannot allocate " +
+                                   std::to_string(length) +
+                                   " bytes for the unmapped region fallback");
+  }
+  const common::Status st = ReadExact(fd, path, offset, length, buf);
+  if (!st.ok()) {
+    std::free(buf);
+    return st;
+  }
+  *out = buf;
+  return common::Status::Ok();
+}
+
 }  // namespace
 
 MappedRegion::~MappedRegion() { Release(); }
@@ -189,20 +209,35 @@ common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
     // address-space cap, or an unmappable file system) degrades gracefully.
   }
 #endif
-  unsigned char* buf = static_cast<unsigned char*>(std::malloc(length));
-  if (buf == nullptr) {
-    return common::Status::IOError(path + ": cannot allocate " +
-                                   std::to_string(length) +
-                                   " bytes for the unmapped region fallback");
+  UCLUST_RETURN_NOT_OK(ReadIntoHeap(fd, path, offset, length, &region.base_));
+  return std::move(region);
+}
+
+common::Result<MappedRegion> ReadFileRegion(int fd, const std::string& path,
+                                            std::uint64_t offset,
+                                            std::size_t length) {
+  MappedRegion region;
+  region.size_ = length;
+  if (length == 0) return std::move(region);
+#if UCLUST_HAVE_MMAP
+#ifdef MAP_POPULATE
+  // Faults every page in at once instead of one by one during the read
+  // that fills them all anyway.
+  constexpr int kPopulate = MAP_POPULATE;
+#else
+  constexpr int kPopulate = 0;
+#endif
+  void* base = ::mmap(nullptr, length, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | kPopulate, -1, 0);
+  if (base != MAP_FAILED) {
+    region.base_ = static_cast<unsigned char*>(base);
+    region.map_bytes_ = length;
+    region.mapped_ = true;
+    UCLUST_RETURN_NOT_OK(ReadExact(fd, path, offset, length, region.base_));
+    return std::move(region);
   }
-  const common::Status st = ReadExact(fd, path, offset, length, buf);
-  if (!st.ok()) {
-    std::free(buf);
-    return st;
-  }
-  region.base_ = buf;
-  region.lead_ = 0;
-  region.mapped_ = false;
+#endif
+  UCLUST_RETURN_NOT_OK(ReadIntoHeap(fd, path, offset, length, &region.base_));
   return std::move(region);
 }
 

@@ -46,6 +46,10 @@ class MappedRegion {
                                                     const std::string& path,
                                                     std::uint64_t offset,
                                                     std::size_t length);
+  friend common::Result<MappedRegion> ReadFileRegion(int fd,
+                                                     const std::string& path,
+                                                     std::uint64_t offset,
+                                                     std::size_t length);
   void Release();
 
   unsigned char* base_ = nullptr;  // mapping base (page aligned) or heap buf
@@ -62,6 +66,16 @@ class MappedRegion {
 common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
                                            std::uint64_t offset,
                                            std::size_t length);
+
+/// Copies [offset, offset + length) of the file into private anonymous
+/// pages (mapped() == true), so the bytes stay fixed whatever later happens
+/// to the file and releasing the region hands the pages straight back to the
+/// OS instead of leaving a multi-MB block in an allocator arena. Falls back
+/// to a heap buffer where anonymous mmap is unavailable or fails. `fd` and
+/// `path` are used as by MapFileRegion.
+common::Result<MappedRegion> ReadFileRegion(int fd, const std::string& path,
+                                            std::uint64_t offset,
+                                            std::size_t length);
 
 /// True when this build can attempt real mmap mappings.
 bool MmapSupported();

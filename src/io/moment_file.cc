@@ -5,21 +5,6 @@
 
 namespace uclust::io {
 
-common::Status MomentSidecarSink::AppendRows(std::size_t count,
-                                             std::size_t m,
-                                             const double* mean,
-                                             const double* mu2,
-                                             const double* var,
-                                             const double* total_var) {
-  if (m != writer_->dims()) {
-    return common::Status::InvalidArgument(
-        "moment rows have " + std::to_string(m) + " dims, file has " +
-        std::to_string(writer_->dims()));
-  }
-  const double* columns[] = {mean, mu2, var, total_var};
-  return writer_->AppendRows(count, columns);
-}
-
 common::Result<std::unique_ptr<MappedMomentStore>> MappedMomentStore::Open(
     const std::string& path) {
   auto sidecar = MappedSidecar::Open(kMomentSidecar, path);
@@ -40,7 +25,6 @@ common::Status WriteMomentFile(const uncertain::MomentView& view,
   header.source_size = source_size;
   SidecarWriter writer;
   UCLUST_RETURN_NOT_OK(writer.Open(kMomentSidecar, path, header));
-  MomentSidecarSink sink(&writer);
   if (!view.chunked() && view.size() > 0) {
     // Flat views are contiguous: one bulk append (the scalar total-variance
     // column is re-gathered because the view exposes it element-wise).
@@ -48,15 +32,17 @@ common::Status WriteMomentFile(const uncertain::MomentView& view,
     for (std::size_t i = 0; i < view.size(); ++i) {
       tv[i] = view.total_variance(i);
     }
-    UCLUST_RETURN_NOT_OK(sink.AppendRows(
-        view.size(), view.dims(), view.mean(0).data(),
-        view.second_moment(0).data(), view.variance(0).data(), tv.data()));
+    const double* columns[] = {view.mean(0).data(),
+                               view.second_moment(0).data(),
+                               view.variance(0).data(), tv.data()};
+    UCLUST_RETURN_NOT_OK(writer.AppendRows(view.size(), columns));
   } else {
     for (std::size_t i = 0; i < view.size(); ++i) {
       const double tv = view.total_variance(i);
-      UCLUST_RETURN_NOT_OK(sink.AppendRows(
-          1, view.dims(), view.mean(i).data(), view.second_moment(i).data(),
-          view.variance(i).data(), &tv));
+      const double* columns[] = {view.mean(i).data(),
+                                 view.second_moment(i).data(),
+                                 view.variance(i).data(), &tv};
+      UCLUST_RETURN_NOT_OK(writer.AppendRows(1, columns));
     }
   }
   return writer.Finish();

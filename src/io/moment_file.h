@@ -1,14 +1,11 @@
-// The .umom moment sidecar's uncertain-layer adapters over the shared
+// The .umom moment sidecar's uncertain-layer adapter over the shared
 // chunked-sidecar layer (sidecar_file.h; layout in sidecar_format.h).
-//
-// MomentSidecarSink is the io-layer implementation of uncertain::MomentSink:
-// uncertain::DatasetBuilder in spill mode forwards each packed batch to a
-// SidecarWriter, so stream-ingest -> Mapped store never holds more than one
-// chunk of moment data in memory.
 //
 // MappedMomentStore is the Mapped MomentStore backend: a MappedSidecar whose
 // chunk windows are served as MomentView chunks, bit-identical to the
-// Resident backend's doubles.
+// Resident backend's doubles. The sidecar itself is written batch by batch
+// from decoded .ubin records (BuildMomentSidecar, ingest.h), so stream
+// ingestion never holds more than one chunk of moment data in memory.
 #ifndef UCLUST_IO_MOMENT_FILE_H_
 #define UCLUST_IO_MOMENT_FILE_H_
 
@@ -21,21 +18,6 @@
 #include "uncertain/moments.h"
 
 namespace uclust::io {
-
-/// Forwards canonically packed moment rows to an open .umom SidecarWriter.
-class MomentSidecarSink final : public uncertain::MomentSink {
- public:
-  /// `writer` must be open on kMomentSidecar and outlive the sink.
-  explicit MomentSidecarSink(SidecarWriter* writer) : writer_(writer) {}
-
-  common::Status AppendRows(std::size_t count, std::size_t m,
-                            const double* mean, const double* mu2,
-                            const double* var,
-                            const double* total_var) override;
-
- private:
-  SidecarWriter* writer_;
-};
 
 /// The Mapped MomentStore backend. Thread-safe for concurrent view access
 /// (each thread owns its window LRU).

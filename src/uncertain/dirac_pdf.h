@@ -22,8 +22,11 @@ class DiracPdf final : public Pdf {
   /// Convenience factory.
   static PdfPtr Make(double x);
 
-  double mean() const override { return x_; }
-  double second_moment() const override { return x_ * x_; }
+  /// Moments of a point mass at x.
+  static PdfMoments Moments(double x) { return {x, x * x}; }
+
+  double mean() const override { return Moments(x_).mean; }
+  double second_moment() const override { return Moments(x_).second_moment; }
   double lower() const override { return x_; }
   double upper() const override { return x_; }
   double Density(double x) const override {

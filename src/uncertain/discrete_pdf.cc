@@ -28,6 +28,9 @@ DiscretePdf::DiscretePdf(NormalizedTag, std::vector<double> values,
 }
 
 void DiscretePdf::ComputeDerived() {
+  const PdfMoments moments = Moments(values_, weights_);
+  mean_ = moments.mean;
+  m2_ = moments.second_moment;
   cum_.reserve(weights_.size());
   double acc = 0.0;
   lo_ = values_[0];
@@ -36,12 +39,21 @@ void DiscretePdf::ComputeDerived() {
     assert(weights_[i] > 0.0);
     acc += weights_[i];
     cum_.push_back(acc);
-    mean_ += weights_[i] * values_[i];
-    m2_ += weights_[i] * values_[i] * values_[i];
     lo_ = std::min(lo_, values_[i]);
     hi_ = std::max(hi_, values_[i]);
   }
   cum_.back() = 1.0;  // guard against rounding drift
+}
+
+PdfMoments DiscretePdf::Moments(std::span<const double> values,
+                                std::span<const double> weights) {
+  assert(values.size() == weights.size());
+  PdfMoments moments;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    moments.mean += weights[i] * values[i];
+    moments.second_moment += weights[i] * values[i] * values[i];
+  }
+  return moments;
 }
 
 PdfPtr DiscretePdf::Uniformly(std::vector<double> values) {

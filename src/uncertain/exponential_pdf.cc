@@ -27,15 +27,16 @@ TruncatedExponentialPdf::TruncatedExponentialPdf(double w, double rate)
   assert(rate > 0.0 && "TruncatedExponentialPdf requires rate > 0");
   span_ = kQ95 / rate_;
   shift_ = w_ - kUnitM1 / rate_;
-  var_ = (kUnitM2 - kUnitM1 * kUnitM1) / (rate_ * rate_);
+  second_moment_ = Moments(w_, rate_).second_moment;
+}
+
+PdfMoments TruncatedExponentialPdf::Moments(double w, double rate) {
+  const double variance = (kUnitM2 - kUnitM1 * kUnitM1) / (rate * rate);
+  return {w, variance + w * w};
 }
 
 PdfPtr TruncatedExponentialPdf::Make(double w, double rate) {
   return std::make_shared<TruncatedExponentialPdf>(w, rate);
-}
-
-double TruncatedExponentialPdf::second_moment() const {
-  return var_ + w_ * w_;
 }
 
 double TruncatedExponentialPdf::Density(double x) const {

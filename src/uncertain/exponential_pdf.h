@@ -22,13 +22,16 @@ class TruncatedExponentialPdf final : public Pdf {
   /// Convenience factory.
   static PdfPtr Make(double w, double rate);
 
+  /// Moments of the pdf with truncated mean `w` and rate `rate`.
+  static PdfMoments Moments(double w, double rate);
+
   /// The rate parameter lambda.
   double rate() const { return rate_; }
   /// The shift s (start of the support).
   double shift() const { return shift_; }
 
   double mean() const override { return w_; }
-  double second_moment() const override;
+  double second_moment() const override { return second_moment_; }
   double lower() const override { return shift_; }
   double upper() const override { return shift_ + span_; }
   double Density(double x) const override;
@@ -41,7 +44,7 @@ class TruncatedExponentialPdf final : public Pdf {
   double rate_;    // lambda
   double shift_;   // s = w - m1/lambda
   double span_;    // q95 / lambda
-  double var_;     // truncated variance
+  double second_moment_;  // Moments(w, rate).second_moment
 };
 
 }  // namespace uclust::uncertain

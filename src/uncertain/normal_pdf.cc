@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "common/math_utils.h"
 
@@ -31,6 +32,9 @@ double NormalQuantile(double p) {
 
 namespace {
 
+// Untruncated mass 2*Phi(c) - 1 of the central region [-c, c].
+double RegionMass(double c) { return 2.0 * common::NormalCdf(c) - 1.0; }
+
 // Central region [-c, c] with untruncated mass `coverage`:
 // Phi(c) = (1 + coverage) / 2. The default coverage has a precomputed
 // constant because dataset generators construct millions of these.
@@ -47,18 +51,40 @@ TruncatedNormalPdf::TruncatedNormalPdf(double mu, double sigma,
     : TruncatedNormalPdf(HalfWidthTag{}, mu, sigma,
                          CoverageToHalfWidth(coverage)) {}
 
-// The single derivation of mass_/variance_: a pdf rebuilt from
-// half_width_sigmas() (the binary format's stored parameter) carries
-// bit-identical moments because it runs these exact expressions.
+// Every constructor lands here, so a pdf rebuilt from half_width_sigmas()
+// (the binary format's stored parameter) and the format's moment decoder
+// both run Moments() on the same three numbers.
 TruncatedNormalPdf::TruncatedNormalPdf(HalfWidthTag, double mu, double sigma,
                                        double half_width)
-    : mu_(mu), sigma_(sigma), c_(half_width) {
+    : mu_(mu),
+      sigma_(sigma),
+      c_(half_width),
+      mass_(RegionMass(half_width)),
+      second_moment_(Moments(mu, sigma, half_width).second_moment) {
   assert(sigma > 0.0 && "TruncatedNormalPdf requires sigma > 0");
   assert(half_width > 0.0);
-  mass_ = 2.0 * common::NormalCdf(c_) - 1.0;
-  // Symmetric truncation: Var = sigma^2 * (1 - 2 c phi(c) / mass).
-  variance_ =
-      sigma_ * sigma_ * (1.0 - 2.0 * c_ * common::NormalPdf(c_) / mass_);
+}
+
+PdfMoments TruncatedNormalPdf::Moments(double mu, double sigma,
+                                       double half_width) {
+  // Symmetric truncation keeps the mean and scales the variance by a
+  // factor of c alone: Var = sigma^2 * (1 - 2 c phi(c) / mass).
+  const double variance = sigma * sigma * VarianceFactor(half_width);
+  return {mu, variance + mu * mu};
+}
+
+double TruncatedNormalPdf::VarianceFactor(double half_width) {
+  // Datasets share one c (the coverage's) across nearly every normal, so
+  // the last value is remembered per thread: a pure function of c, hence
+  // the same bits either way, at a fraction of the erfc + exp cost.
+  thread_local double last_c = std::numeric_limits<double>::quiet_NaN();
+  thread_local double last_factor = 0.0;
+  if (half_width != last_c) {
+    last_factor = 1.0 - 2.0 * half_width * common::NormalPdf(half_width) /
+                            RegionMass(half_width);
+    last_c = half_width;
+  }
+  return last_factor;
 }
 
 PdfPtr TruncatedNormalPdf::Make(double mu, double sigma) {
@@ -69,10 +95,6 @@ PdfPtr TruncatedNormalPdf::FromHalfWidth(double mu, double sigma,
                                          double half_width) {
   return std::shared_ptr<TruncatedNormalPdf>(
       new TruncatedNormalPdf(HalfWidthTag{}, mu, sigma, half_width));
-}
-
-double TruncatedNormalPdf::second_moment() const {
-  return variance_ + mu_ * mu_;
 }
 
 double TruncatedNormalPdf::Density(double x) const {

@@ -29,6 +29,12 @@ class TruncatedNormalPdf final : public Pdf {
   /// trip reproduces the original moments bit-for-bit.
   static PdfPtr FromHalfWidth(double mu, double sigma, double half_width);
 
+  /// Moments of the pdf FromHalfWidth(mu, sigma, half_width) builds.
+  static PdfMoments Moments(double mu, double sigma, double half_width);
+  /// Variance of the truncated pdf over sigma^2: 1 - 2 c phi(c) / mass for
+  /// half-width c.
+  static double VarianceFactor(double half_width);
+
   /// Untruncated location parameter (== mean(), by symmetry).
   double mu() const { return mu_; }
   /// Untruncated scale parameter.
@@ -37,7 +43,7 @@ class TruncatedNormalPdf final : public Pdf {
   double half_width_sigmas() const { return c_; }
 
   double mean() const override { return mu_; }
-  double second_moment() const override;
+  double second_moment() const override { return second_moment_; }
   double lower() const override { return mu_ - c_ * sigma_; }
   double upper() const override { return mu_ + c_ * sigma_; }
   double Density(double x) const override;
@@ -52,8 +58,8 @@ class TruncatedNormalPdf final : public Pdf {
   double mu_;
   double sigma_;
   double c_;          // half-width in sigma units
-  double mass_;       // untruncated mass of the region: 2*Phi(c) - 1
-  double variance_;   // truncated variance (closed form)
+  double mass_;           // untruncated mass of the region: 2*Phi(c) - 1
+  double second_moment_;  // Moments(mu, sigma, c).second_moment
 };
 
 }  // namespace uclust::uncertain

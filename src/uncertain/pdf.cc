@@ -4,11 +4,4 @@ namespace uclust::uncertain {
 
 Pdf::~Pdf() = default;
 
-double Pdf::variance() const {
-  const double m = mean();
-  const double v = second_moment() - m * m;
-  // Guard tiny negative values from floating-point cancellation.
-  return v > 0.0 ? v : 0.0;
-}
-
 }  // namespace uclust::uncertain

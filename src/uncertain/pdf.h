@@ -15,6 +15,21 @@
 
 namespace uclust::uncertain {
 
+/// E[X] and E[X^2] of a univariate pdf. Each pdf type computes them from its
+/// stored parameters in one static Moments() function, which its
+/// constructor and accessors and the .ubin record decoder
+/// (io/dataset_reader.h) all run, so the two paths agree bit for bit.
+struct PdfMoments {
+  double mean = 0.0;
+  double second_moment = 0.0;
+
+  /// E[X^2] - E[X]^2, clamped at 0 against floating-point cancellation.
+  double variance() const {
+    const double v = second_moment - mean * mean;
+    return v > 0.0 ? v : 0.0;
+  }
+};
+
 /// Abstract univariate pdf with bounded support and analytic moments.
 ///
 /// Implementations are immutable after construction and safe to share across
@@ -27,8 +42,10 @@ class Pdf {
   virtual double mean() const = 0;
   /// Second raw moment E[X^2].
   virtual double second_moment() const = 0;
-  /// Variance E[X^2] - E[X]^2 (non-negative by construction).
-  double variance() const;
+  /// Variance E[X^2] - E[X]^2 (PdfMoments::variance, so never negative).
+  double variance() const {
+    return PdfMoments{mean(), second_moment()}.variance();
+  }
 
   /// Lower end of the domain region (support of the truncated pdf).
   virtual double lower() const = 0;

@@ -12,11 +12,9 @@ PdfPtr UniformPdf::Centered(double center, double halfwidth) {
   return std::make_shared<UniformPdf>(center - halfwidth, center + halfwidth);
 }
 
-double UniformPdf::mean() const { return 0.5 * (lo_ + hi_); }
-
-double UniformPdf::second_moment() const {
-  // E[X^2] = (lo^2 + lo*hi + hi^2) / 3.
-  return (lo_ * lo_ + lo_ * hi_ + hi_ * hi_) / 3.0;
+PdfMoments UniformPdf::Moments(double lo, double hi) {
+  // E[X] = (lo + hi) / 2 and E[X^2] = (lo^2 + lo*hi + hi^2) / 3.
+  return {0.5 * (lo + hi), (lo * lo + lo * hi + hi * hi) / 3.0};
 }
 
 double UniformPdf::Density(double x) const {

@@ -16,8 +16,13 @@ class UniformPdf final : public Pdf {
   /// Convenience: uniform centered at `center` with half-width `halfwidth`.
   static PdfPtr Centered(double center, double halfwidth);
 
-  double mean() const override;
-  double second_moment() const override;
+  /// Moments of the uniform pdf on [lo, hi].
+  static PdfMoments Moments(double lo, double hi);
+
+  double mean() const override { return Moments(lo_, hi_).mean; }
+  double second_moment() const override {
+    return Moments(lo_, hi_).second_moment;
+  }
   double lower() const override { return lo_; }
   double upper() const override { return hi_; }
   double Density(double x) const override;

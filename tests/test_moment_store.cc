@@ -1,7 +1,7 @@
 // Moment-specific cases of the MomentStore abstraction: the fast
 // algorithms cluster bit-identically on the Resident and Mapped backends at
-// every thread count, and DatasetBuilder's spill mode writes the resident
-// builder's moments for any batch partition. The cases both sidecar formats
+// every thread count, and the .umom sidecar build writes the resident
+// moments for any batch partition. The cases both sidecar formats
 // share (format rejection, chunk sweep, reuse guard, ...) are in
 // test_sidecar_store.cc.
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "io/ingest.h"
 #include "io/moment_file.h"
 #include "sidecar_test_util.h"
-#include "uncertain/dataset_builder.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
 
@@ -27,7 +26,6 @@ namespace uclust {
 namespace {
 
 using namespace testing_util;  // NOLINT(build/namespaces)
-using uncertain::DatasetBuilder;
 using uncertain::MomentBackend;
 using uncertain::MomentMatrix;
 using uncertain::MomentStorePtr;
@@ -110,6 +108,7 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
 
 TEST(MomentStoreTest, SpillModeMatchesResidentBuilderForAnyBatchPartition) {
   const auto objects = MakeTestObjects(53, 3, /*seed=*/31);
+  const std::string path = WriteTestFile("spill.ubin", objects);
   const MomentMatrix reference = MomentMatrix::FromObjects(objects);
 
   engine::EngineConfig threaded;
@@ -121,27 +120,17 @@ TEST(MomentStoreTest, SpillModeMatchesResidentBuilderForAnyBatchPartition) {
        {std::size_t{1}, std::size_t{5}, std::size_t{53}, std::size_t{60}}) {
     for (const engine::Engine& eng : engines) {
       const std::string sidecar = TempPath("spill.umom");
-      io::SidecarHeader header;
-      header.m = 3;
-      header.chunk_rows = 8;
-      io::SidecarWriter writer;
-      ASSERT_TRUE(writer.Open(io::kMomentSidecar, sidecar, header).ok());
-      io::MomentSidecarSink sink(&writer);
-      DatasetBuilder builder(eng, &sink);
-      for (std::size_t start = 0; start < objects.size(); start += batch) {
-        const std::size_t count = std::min(batch, objects.size() - start);
-        builder.AddBatch({objects.data() + start, count});
-      }
-      ASSERT_TRUE(builder.status().ok());
-      ASSERT_EQ(objects.size(), builder.size());
-      ASSERT_TRUE(writer.Finish().ok());
-
+      ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, eng,
+                                         /*chunk_rows=*/8, batch)
+                      .ok());
       auto store = io::MappedMomentStore::Open(sidecar);
       ASSERT_TRUE(store.ok()) << store.status().ToString();
+      EXPECT_EQ(8u, store.ValueOrDie()->chunk_rows());
       ExpectMomentsBitIdentical(reference.view(), store.ValueOrDie()->view());
       std::remove(sidecar.c_str());
     }
   }
+  std::remove(path.c_str());
 }
 
 }  // namespace
