@@ -634,49 +634,9 @@ int main(int argc, char** argv) {
         json.KV("online_ms", r.online_ms);
         json.KV("pair_evaluations", r.pair_evaluations);
         json.KV("pairs_pruned", r.pairs_pruned);
-        json.KV("clusters_found", r.clusters_found);
-        json.EndObject();
-      }
-      json.EndArray();
-
-      // Spatial-index axis on the same mix-family dataset: the index must
-      // reproduce the index-off pruned sweep bit-for-bit (same labels, same
-      // evaluated pairs) while replacing the n*(n-1)/2 per-pair bound tests
-      // with candidate-set queries.
-      std::printf("\n[fdbscan spatial-index axis: mix-family dataset, "
-                  "n=%zu]\n",
-                  mix_ds.size());
-      std::printf("%8s | %10s %14s %14s %14s %8s\n", "index", "online",
-                  "bound_tests", "candidates", "pruned_by_idx", "labels");
-      json.Key("spatial_index");
-      json.BeginArray();
-      std::vector<int> off_labels;
-      for (const char* index : {"off", "rtree", "grid"}) {
-        engine::EngineConfig pc = engine_config;
-        pc.memory_budget_bytes = tiled_budget;
-        pc.spatial_index = index;
-        clustering::Fdbscan algo(fp);
-        algo.set_engine(engine::Engine(pc));
-        const clustering::ClusteringResult r = algo.Cluster(mix_ds, k, seed);
-        if (off_labels.empty()) off_labels = r.labels;
-        const bool labels_match = r.labels == off_labels;
-        std::printf("%8s | %8.1fms %14lld %14lld %14lld %8s\n", index,
-                    r.online_ms,
-                    static_cast<long long>(r.index_bound_tests),
-                    static_cast<long long>(r.index_candidates),
-                    static_cast<long long>(r.pairs_pruned_by_index),
-                    labels_match ? "match" : "MISMATCH!");
-        json.BeginObject();
-        json.KV("spatial_index", index);
-        json.KV("backend", r.pairwise_backend);
-        json.KV("n", mix_ds.size());
-        json.KV("online_ms", r.online_ms);
-        json.KV("pair_evaluations", r.pair_evaluations);
-        json.KV("pairs_pruned", r.pairs_pruned);
         json.KV("index_bound_tests", r.index_bound_tests);
         json.KV("index_candidates", r.index_candidates);
-        json.KV("pairs_pruned_by_index", r.pairs_pruned_by_index);
-        json.KV("labels_match_off", labels_match);
+        json.KV("clusters_found", r.clusters_found);
         json.EndObject();
       }
       json.EndArray();

@@ -27,14 +27,16 @@
 // the full-table sweep's evaluation count (< iterations * n * (n - 1), the
 // floor of a full-table swap sweep on a recomputing backend).
 //
-// Budgeted runs with the spatial index enabled (the default) additionally
-// gate the indexed FDBSCAN eps-sweep on a smaller separable dataset:
+// Budgeted runs additionally gate FDBSCAN's indexed eps-sweep on a smaller
+// separable dataset:
 //
-//   [pairwise smoke] INDEX RESULT=OK|FAIL spatial_index=.. bound_tests=..
+//   [pairwise smoke] INDEX RESULT=OK|FAIL bound_tests=.. pair_evaluations=..
 //
-// INDEX RESULT=OK asserts the index answered its candidate queries at
-// <= 0.2x the n * (n - 1) / 2 pair-bound floor AND that the indexed labels
-// match the index-off sweep bit-for-bit.
+// INDEX RESULT=OK asserts that the index answered its candidate queries at
+// <= 0.2x the n * (n - 1) / 2 pair-bound floor, that the sweep evaluated
+// exactly the pairs PairwiseBoundIndex::ProvablyBeyond does not rule out
+// (counted by brute force, so a candidate the index drops shows), and that
+// its labels equal the unbudgeted run's.
 //
 // Exit code: 0 for OK, 1 for FAIL, 3 for OOM.
 //
@@ -53,6 +55,7 @@
 
 #include "bench_util.h"
 #include "clustering/fdbscan.h"
+#include "clustering/pruning.h"
 #include "clustering/ukmedoids.h"
 #include "common/cli.h"
 #include "data/benchmark_gen.h"
@@ -142,11 +145,11 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  if (config.memory_budget_bytes > 0 && config.spatial_index != "off") {
-    // Spatial-index gate: an indexed FDBSCAN eps-sweep must answer its
+  if (config.memory_budget_bytes > 0) {
+    // Spatial-index gate: FDBSCAN's indexed eps-sweep must answer its
     // candidate queries well below the n * (n - 1) / 2 pair-bound floor the
     // all-pairs predicate sweep pays — the whole point of candidate-SET
-    // pruning — while reproducing the index-off labels bit-for-bit.
+    // pruning — without losing a pair the predicate would have evaluated.
     const std::size_t index_n =
         static_cast<std::size_t>(args.GetInt("index_n", 6000));
     // The regime a range index targets: 3-D, broad clusters (moderate local
@@ -169,33 +172,44 @@ int Run(int argc, char** argv) {
         data::UncertaintyModel(id, iup, seed + 3).Uncertain();
     clustering::Fdbscan::Params fp;
     fp.eps = 0.02;  // well below the class separation: most pairs prune
-    const auto sweep = [&](const char* index) {
+    const auto sweep = [&](std::size_t budget) {
       engine::EngineConfig icfg = config;
-      icfg.spatial_index = index;
+      icfg.memory_budget_bytes = budget;
       clustering::Fdbscan fdbscan(fp);
       fdbscan.set_engine(engine::Engine(icfg));
       return fdbscan.Cluster(ids, k, seed);
     };
-    const clustering::ClusteringResult off = sweep("off");
+    const clustering::ClusteringResult unbudgeted = sweep(0);
     const clustering::ClusteringResult indexed =
-        sweep(config.spatial_index.c_str());
+        sweep(config.memory_budget_bytes);
+    // The pairs the all-pairs predicate sweep would evaluate.
+    const clustering::PairwiseBoundIndex bounds(ids.objects());
+    int64_t not_beyond = 0;
+    for (std::size_t i = 0; i < index_n; ++i) {
+      for (std::size_t j = i + 1; j < index_n; ++j) {
+        not_beyond += bounds.ProvablyBeyond(i, j, fp.eps) ? 0 : 1;
+      }
+    }
     const int64_t pair_floor = static_cast<int64_t>(index_n) *
                                static_cast<int64_t>(index_n - 1) / 2;
     const int64_t index_cost =
         indexed.index_bound_tests + indexed.index_candidates;
-    const bool index_ok = indexed.labels == off.labels &&
+    const bool labels_match = indexed.labels == unbudgeted.labels;
+    const bool index_ok = labels_match &&
+                          indexed.pair_evaluations == not_beyond &&
                           index_cost * 5 <= pair_floor;  // <= 0.2x the floor
-    std::printf("[pairwise smoke] INDEX RESULT=%s spatial_index=%s n=%zu "
-                "bound_tests=%lld candidates=%lld cost=%lld "
-                "pair_floor=%lld labels_match_off=%d online=%.1fms "
-                "(off=%.1fms)\n",
-                index_ok ? "OK" : "FAIL", config.spatial_index.c_str(),
-                index_n, static_cast<long long>(indexed.index_bound_tests),
+    std::printf("[pairwise smoke] INDEX RESULT=%s n=%zu bound_tests=%lld "
+                "candidates=%lld cost=%lld pair_floor=%lld "
+                "pair_evaluations=%lld not_beyond_pairs=%lld "
+                "labels_match_unbudgeted=%d online=%.1fms\n",
+                index_ok ? "OK" : "FAIL", index_n,
+                static_cast<long long>(indexed.index_bound_tests),
                 static_cast<long long>(indexed.index_candidates),
                 static_cast<long long>(index_cost),
                 static_cast<long long>(pair_floor),
-                indexed.labels == off.labels ? 1 : 0, indexed.online_ms,
-                off.online_ms);
+                static_cast<long long>(indexed.pair_evaluations),
+                static_cast<long long>(not_beyond), labels_match ? 1 : 0,
+                indexed.online_ms);
     if (!index_ok) {
       std::printf("[pairwise smoke] RESULT=FAIL\n");
       return 1;

@@ -74,13 +74,14 @@ struct ClusteringResult {
   /// proved unnecessary and skipped. 0 when bound pruning is off.
   int64_t bounds_skipped = 0;
   /// Candidate pairs the spatial index returned to the candidate-driven
-  /// sweeps (clustering::SpatialIndex range/nearest queries) — the pairs
-  /// that still reached the per-pair bound test or kernel. 0 when the index
-  /// is off or the algorithm has no indexed sweep.
+  /// sweeps (clustering::SpatialIndex range queries) — the pairs that still
+  /// reached the per-pair bound test or kernel. 0 when the algorithm ran no
+  /// indexed sweep (FOPTICS on the dense backend, every non-density
+  /// algorithm).
   int64_t index_candidates = 0;
   /// Sweep pairs the spatial index excluded wholesale — pairs an all-pairs
   /// sweep would have bound-tested but a candidate query never touched.
-  /// 0 when the index is off.
+  /// 0 when no indexed sweep ran.
   int64_t pairs_pruned_by_index = 0;
   /// Box-distance bound computations the spatial index performed inside its
   /// queries (node MBR tests plus per-item tests). The indexed analogue of

@@ -116,51 +116,42 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
       if (tail[t] > 0.0) upper[i].emplace_back(i + 1 + t, tail[t]);
     }
   };
-  SpatialIndexChoice index_choice = SpatialIndexChoice::kOff;
-  SpatialIndexChoiceFromString(eng.spatial_index(), &index_choice);
+  // Candidate-driven sweep: the spatial index narrows which pairs are
+  // *tested* to the eps-range hits of each region box, and the
+  // PairwiseBoundIndex predicate still decides which of those are
+  // evaluated. Every non-candidate has its computed box separation above
+  // the same slacked threshold the predicate consults, so the evaluated
+  // set — and with it every value, label, and the pair_evaluations /
+  // pairs_pruned counters — is bit-identical to the all-pairs predicate
+  // sweep (PairwiseStore::VisitUpperTriangle with ProvablyBeyond, the
+  // reference the tests compare against); only the bound-test count drops
+  // from n*(n-1)/2 to the index query cost.
   const PairwiseBoundIndex bounds(data.objects());
-  if (index_choice != SpatialIndexChoice::kOff) {
-    // Candidate-driven sweep: the spatial index narrows which pairs are
-    // *tested* to the eps-range hits of each region box, and the
-    // PairwiseBoundIndex predicate still decides which of those are
-    // evaluated. Every non-candidate has its computed box separation above
-    // the same slacked threshold the predicate consults, so the evaluated
-    // set — and with it every value, label, and the pair_evaluations /
-    // pairs_pruned counters — is bit-identical to the all-pairs predicate
-    // sweep; only the bound-test count drops from n*(n-1)/2 to the index
-    // query cost.
-    const SpatialIndex index(data.objects(),
-                             ResolveSpatialIndexKind(index_choice,
-                                                     data.dims()));
-    const double threshold2 = SlackedSquaredThreshold(eps * eps);
-    std::vector<std::vector<std::size_t>> cands(n);
-    engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
-      std::vector<std::size_t> hits;
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        index.QueryWithin(data.object(i).region(), threshold2, i, &hits);
-        // Keep the upper-triangle columns j > i (hits are ascending).
-        cands[i].assign(std::upper_bound(hits.begin(), hits.end(), i),
-                        hits.end());
-      }
-    });
-    store.VisitUpperTriangleCandidates(
-        sweep,
-        [&](std::size_t i) { return std::span<const std::size_t>(cands[i]); },
-        [&](std::size_t i, std::size_t j) {
-          return bounds.ProvablyBeyond(i, j, eps);
-        });
-    for (const auto& c : cands) {
-      result.index_candidates += static_cast<int64_t>(c.size());
+  const SpatialIndex index(data.objects());
+  const double threshold2 = SlackedSquaredThreshold(eps * eps);
+  std::vector<std::vector<std::size_t>> cands(n);
+  engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
+    std::vector<std::size_t> hits;
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      index.QueryWithin(data.object(i).region(), threshold2, i, &hits);
+      // Keep the upper-triangle columns j > i (hits are ascending).
+      cands[i].assign(std::upper_bound(hits.begin(), hits.end(), i),
+                      hits.end());
     }
-    result.pairs_pruned_by_index =
-        static_cast<int64_t>(n) * (static_cast<int64_t>(n) - 1) / 2 -
-        result.index_candidates;
-    result.index_bound_tests = index.bound_tests();
-  } else {
-    store.VisitUpperTriangle(sweep, [&](std::size_t i, std::size_t j) {
-      return bounds.ProvablyBeyond(i, j, eps);
-    });
+  });
+  store.VisitUpperTriangleCandidates(
+      sweep,
+      [&](std::size_t i) { return std::span<const std::size_t>(cands[i]); },
+      [&](std::size_t i, std::size_t j) {
+        return bounds.ProvablyBeyond(i, j, eps);
+      });
+  for (const auto& c : cands) {
+    result.index_candidates += static_cast<int64_t>(c.size());
   }
+  result.pairs_pruned_by_index =
+      static_cast<int64_t>(n) * (static_cast<int64_t>(n) - 1) / 2 -
+      result.index_candidates;
+  result.index_bound_tests = index.bound_tests();
   result.ed_evaluations += store.ed_evaluations();
   result.pairwise_backend = PairwiseBackendName(store.backend());
   result.table_bytes_peak = store.table_bytes_peak();

@@ -64,11 +64,8 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   // parallel row sweep through the store; per-worker scratch for the
   // self-excluding copy).
   std::vector<double> core_dist(n, kUndefined);
-  SpatialIndexChoice index_choice = SpatialIndexChoice::kOff;
-  SpatialIndexChoiceFromString(eng.spatial_index(), &index_choice);
   int64_t core_sweep_evals = 0;
-  if (index_choice != SpatialIndexChoice::kOff &&
-      store.backend() != PairwiseBackend::kDense && n > 1) {
+  if (store.backend() != PairwiseBackend::kDense && n > 1) {
     // Indexed core distances (recompute backends only — on the dense
     // backend the warmed table serves rows for free). For each object the
     // rank-th smallest box-box MAX squared distance bounds the MinPts-th
@@ -78,8 +75,7 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
     // clears the slacked bound). nth_element over the candidate values
     // therefore yields the bit-identical core distance while evaluating
     // only the candidates instead of all n - 1 columns per row.
-    const SpatialIndex index(
-        data.objects(), ResolveSpatialIndexKind(index_choice, data.dims()));
+    const SpatialIndex index(data.objects());
     const std::size_t rank = std::min<std::size_t>(
         static_cast<std::size_t>(params_.min_pts), n - 1);
     struct SweepCounts {

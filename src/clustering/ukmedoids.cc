@@ -5,7 +5,6 @@
 
 #include "clustering/init.h"
 #include "clustering/pairwise_store.h"
-#include "clustering/spatial_index.h"
 #include "common/math_utils.h"
 #include "common/stopwatch.h"
 #include "engine/parallel_for.h"
@@ -53,20 +52,6 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   // on the dense backend the full sweep reads the resident table zero-copy,
   // so the block gather would be pure copy overhead.
   const bool gather_tiles = store.backend() != PairwiseBackend::kDense;
-  // Indexed assignment (recompute backends only — dense rows are free after
-  // Warm()): a per-iteration spatial index over the k medoid region boxes
-  // answers, per object, which medoids could be nearest. The true nearest
-  // medoid's ED^ is bracketed by its box min/max distance, so the candidate
-  // set (min distance within a slacked margin of the smallest max distance)
-  // always contains the argmin winner, and excluded medoids are provably
-  // strictly farther. The ascending-slot strict-< scan over candidates
-  // therefore picks the bit-identical label the k-row scan picks, without
-  // gathering k full medoid rows per iteration.
-  SpatialIndexChoice index_choice = SpatialIndexChoice::kOff;
-  SpatialIndexChoiceFromString(eng.spatial_index(), &index_choice);
-  const bool index_assign = index_choice != SpatialIndexChoice::kOff &&
-                            store.backend() != PairwiseBackend::kDense;
-  int64_t assign_evals = 0;
 
   for (result.iterations = 0; result.iterations < params_.max_iters;
        ++result.iterations) {
@@ -74,91 +59,33 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
     // round stay servable (medoids rarely all move), stale rows age out.
     store.BeginGeneration();
     std::size_t changed = 0;
-    if (index_assign) {
-      std::vector<uncertain::Box> mboxes;
-      mboxes.reserve(medoids.size());
-      for (const std::size_t m : medoids) {
-        mboxes.push_back(data.object(m).region());
-      }
-      const SpatialIndex midx(
-          std::move(mboxes),
-          ResolveSpatialIndexKind(index_choice, data.dims()));
-      struct AssignCounts {
-        std::size_t changed = 0;
-        int64_t evals = 0;
-        int64_t cands = 0;
-      };
-      const std::vector<AssignCounts> per_block =
-          engine::MapBlocks<AssignCounts>(
-              eng, n, [&](const engine::BlockedRange& r) {
-                AssignCounts ac;
-                std::vector<std::size_t> cand;
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                  midx.NearestCandidates(data.object(i).region(), &cand);
-                  int best = 0;
-                  double best_d = std::numeric_limits<double>::infinity();
-                  for (const std::size_t slot : cand) {
-                    const std::size_t mid = medoids[slot];
-                    // The gather path serves the table diagonal (exactly 0)
-                    // when an object is its own medoid; Eval(i, i) would
-                    // return the nonzero self ED^, so match the diagonal.
-                    double d = 0.0;
-                    if (mid != i) {
-                      d = kernel.Eval(i, mid);
-                      ++ac.evals;
-                    }
-                    if (d < best_d) {
-                      best_d = d;
-                      best = static_cast<int>(slot);
-                    }
-                  }
-                  ac.cands += static_cast<int64_t>(cand.size());
-                  if (best != result.labels[i]) {
-                    result.labels[i] = best;
-                    ++ac.changed;
+    // Assignment to the nearest medoid: materialize the k medoid rows
+    // through the store, then sweep objects in parallel blocks (the
+    // change counter reduces over blocks in order).
+    store.GatherRows(medoids, &med_rows);
+    const std::vector<std::size_t> changed_per_block =
+        engine::MapBlocks<std::size_t>(
+            eng, n, [&](const engine::BlockedRange& r) {
+              std::size_t block_changed = 0;
+              for (std::size_t i = r.begin; i < r.end; ++i) {
+                int best = 0;
+                double best_d = std::numeric_limits<double>::infinity();
+                for (int c = 0; c < k; ++c) {
+                  const double d =
+                      med_rows[static_cast<std::size_t>(c) * n + i];
+                  if (d < best_d) {
+                    best_d = d;
+                    best = c;
                   }
                 }
-                return ac;
-              });
-      int64_t iter_cands = 0;
-      for (const AssignCounts& ac : per_block) {
-        changed += ac.changed;
-        assign_evals += ac.evals;
-        iter_cands += ac.cands;
-      }
-      result.index_candidates += iter_cands;
-      result.pairs_pruned_by_index +=
-          static_cast<int64_t>(n) * k - iter_cands;
-      result.index_bound_tests += midx.bound_tests();
-    } else {
-      // Assignment to the nearest medoid: materialize the k medoid rows
-      // through the store, then sweep objects in parallel blocks (the
-      // change counter reduces over blocks in order).
-      store.GatherRows(medoids, &med_rows);
-      const std::vector<std::size_t> changed_per_block =
-          engine::MapBlocks<std::size_t>(
-              eng, n, [&](const engine::BlockedRange& r) {
-                std::size_t block_changed = 0;
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                  int best = 0;
-                  double best_d = std::numeric_limits<double>::infinity();
-                  for (int c = 0; c < k; ++c) {
-                    const double d =
-                        med_rows[static_cast<std::size_t>(c) * n + i];
-                    if (d < best_d) {
-                      best_d = d;
-                      best = c;
-                    }
-                  }
-                  if (best != result.labels[i]) {
-                    result.labels[i] = best;
-                    ++block_changed;
-                  }
+                if (best != result.labels[i]) {
+                  result.labels[i] = best;
+                  ++block_changed;
                 }
-                return block_changed;
-              });
-      for (std::size_t c : changed_per_block) changed += c;
-    }
+              }
+              return block_changed;
+            });
+    for (std::size_t c : changed_per_block) changed += c;
     for (auto& mlist : members) mlist.clear();
     for (std::size_t i = 0; i < n; ++i) {
       members[result.labels[i]].push_back(i);
@@ -231,15 +158,10 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
     result.objective += med_rows[c * n + i];
   }
   result.online_ms = online.ElapsedMs();
-  // Indexed assignment evaluates the kernel outside the store; fold those
-  // evaluations into the same totals the gathered rows would have produced
-  // them under (sampled kernels integrate per evaluation, the closed form
-  // does not).
-  result.ed_evaluations += store.ed_evaluations() +
-                           (kernel.counts_ed_evaluations() ? assign_evals : 0);
+  result.ed_evaluations += store.ed_evaluations();
   result.pairwise_backend = PairwiseBackendName(store.backend());
   result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations() + assign_evals;
+  result.pair_evaluations = store.evaluations();
   result.tile_warm_hits = store.warm_hits();
   result.tile_warm_misses = store.warm_misses();
   result.clusters_found = CountClusters(result.labels);

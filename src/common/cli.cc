@@ -1,10 +1,23 @@
 #include "common/cli.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "engine/engine.h"
 
 namespace uclust::common {
+namespace {
+
+// A malformed numeric flag ends the process: running on the default
+// instead (`--base_n=2k` silently ran 50000) hides the typo.
+[[noreturn]] void DieNotANumber(const std::string& key,
+                                const std::string& value) {
+  std::fprintf(stderr, "--%s: expected a number, got '%s'\n", key.c_str(),
+               value.c_str());
+  std::exit(1);
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -35,7 +48,9 @@ int64_t ArgParser::GetInt(const std::string& key, int64_t def) const {
   if (it == values_.end()) return def;
   char* end = nullptr;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') return def;
+  if (end == it->second.c_str() || *end != '\0') {
+    DieNotANumber(key, it->second);
+  }
   return static_cast<int64_t>(v);
 }
 
@@ -44,7 +59,9 @@ double ArgParser::GetDouble(const std::string& key, double def) const {
   if (it == values_.end()) return def;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') return def;
+  if (end == it->second.c_str() || *end != '\0') {
+    DieNotANumber(key, it->second);
+  }
   return v;
 }
 

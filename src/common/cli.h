@@ -27,9 +27,12 @@ class ArgParser {
   bool Has(const std::string& key) const;
   /// String value of `--key=`, or `def` when absent.
   std::string GetString(const std::string& key, const std::string& def) const;
-  /// Integer value of `--key=`, or `def` when absent/unparsable.
+  /// Integer value of `--key=`, or `def` when absent. A value that does not
+  /// parse as a whole integer prints "--key: expected a number, got '<v>'"
+  /// to stderr and exits with status 1.
   int64_t GetInt(const std::string& key, int64_t def) const;
-  /// Double value of `--key=`, or `def` when absent/unparsable.
+  /// Double value of `--key=`, or `def` when absent. A malformed value
+  /// exits as GetInt does.
   double GetDouble(const std::string& key, double def) const;
   /// Boolean value: bare `--key` or `--key=true/1` is true.
   bool GetBool(const std::string& key, bool def) const;

@@ -45,7 +45,6 @@ Engine::Engine(const EngineConfig& config) {
   moment_chunk_rows_ = config.moment_chunk_rows;
   sample_chunk_rows_ = config.sample_chunk_rows;
   ukmeans_minibatch_size_ = config.ukmeans_minibatch_size;
-  spatial_index_ = config.spatial_index;
   ApplySimdIsa(config.simd_isa);
   int threads = config.num_threads;
   if (threads == 0) {
@@ -116,14 +115,6 @@ common::Status ApplyEngineKnob(const std::string& key,
           "got '" + value + "'");
     }
     cfg->simd_isa = value;
-  } else if (key == "spatial_index") {
-    if (value != "auto" && value != "rtree" && value != "grid" &&
-        value != "off") {
-      return common::Status::InvalidArgument(
-          "engine knob 'spatial_index': expected auto, rtree, grid, or off, "
-          "got '" + value + "'");
-    }
-    cfg->spatial_index = value;
   } else {
     return common::Status::InvalidArgument("unknown engine knob '" + key +
                                            "'");
@@ -141,7 +132,6 @@ const std::vector<std::string>& EngineKnobNames() {
       "sample_chunk_rows",
       "ukmeans_minibatch_size",
       "simd_isa",
-      "spatial_index",
   };
   return *names;
 }

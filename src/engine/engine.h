@@ -69,14 +69,6 @@ struct EngineConfig {
   /// order, so results are bit-identical whichever path runs. Forcing an
   /// unavailable path falls back to auto with a warning on stderr.
   std::string simd_isa = "auto";
-  /// Spatial index over the per-object region boxes for the pairwise
-  /// candidate sweeps (clustering::SpatialIndex): "auto" (grid for low
-  /// dimensions, STR R-tree otherwise), "rtree"/"grid" to force a
-  /// structure, "off" for the all-pairs bound sweeps. Pure recompute knob
-  /// under the determinism contract: the index only narrows which pairs
-  /// are *tested*, never which values are served, so clusterings are
-  /// bit-identical for every setting.
-  std::string spatial_index = "auto";
 };
 
 /// Copyable handle bundling an EngineConfig with a (shared) thread pool.
@@ -112,9 +104,6 @@ class Engine {
   /// "neon" — never "auto"; the default-constructed serial engine reports
   /// whatever the process-global dispatcher currently runs).
   std::string simd_isa() const;
-  /// Spatial-index structure request for candidate sweeps
-  /// ("auto"/"rtree"/"grid"/"off").
-  const std::string& spatial_index() const { return spatial_index_; }
   /// The pool, or nullptr when serial.
   ThreadPool* pool() const { return pool_.get(); }
 
@@ -124,7 +113,6 @@ class Engine {
   std::size_t moment_chunk_rows_ = 0;
   std::size_t sample_chunk_rows_ = 0;
   std::size_t ukmeans_minibatch_size_ = 0;
-  std::string spatial_index_ = "auto";
   std::shared_ptr<ThreadPool> pool_;
 };
 
@@ -143,8 +131,6 @@ class Engine {
 ///   ukmeans_minibatch_size    int >= 0 (0 = auto)
 ///   simd_isa                  auto|scalar|avx2|neon (name validated here;
 ///                             availability resolves at Engine construction)
-///   spatial_index             auto|rtree|grid|off (candidate-sweep index
-///                             over region boxes; auto picks by dimension)
 ///
 /// Returns InvalidArgument for an unknown key or an unparsable value;
 /// `cfg` is unchanged on error. Later applications override earlier ones

@@ -272,10 +272,20 @@ TEST(Cli, ParsesKeysAndDefaults) {
   EXPECT_FALSE(args.Has("missing"));
 }
 
-TEST(Cli, MalformedNumberFallsBack) {
-  const char* argv[] = {"prog", "--runs=abc"};
-  ArgParser args(2, const_cast<char**>(argv));
-  EXPECT_EQ(args.GetInt("runs", 3), 3);
+TEST(CliDeathTest, MalformedNumberExitsNamingTheFlag) {
+  const char* argv[] = {"prog", "--runs=abc", "--base_n=2k", "--scale=0.5x",
+                        "--empty="};
+  ArgParser args(5, const_cast<char**>(argv));
+  EXPECT_EXIT(args.GetInt("runs", 3), ::testing::ExitedWithCode(1),
+              "--runs: expected a number, got 'abc'");
+  EXPECT_EXIT(args.GetInt("base_n", 50000), ::testing::ExitedWithCode(1),
+              "--base_n: expected a number, got '2k'");
+  EXPECT_EXIT(args.GetDouble("scale", 1.0), ::testing::ExitedWithCode(1),
+              "--scale: expected a number, got '0.5x'");
+  EXPECT_EXIT(args.GetInt("empty", 1), ::testing::ExitedWithCode(1),
+              "--empty: expected a number, got ''");
+  // Absent flags still take the default.
+  EXPECT_EQ(args.GetInt("missing", 3), 3);
 }
 
 TEST(Stopwatch, MeasuresElapsedMonotonically) {

@@ -412,58 +412,55 @@ TEST(ParallelDeterminism, TilePoliciesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The spatial-index knob is a pure recompute optimization with the same
-// contract as the tile policies: every structure choice must reproduce the
-// index-off clustering bit-for-bit — on the dense AND the tiled backend, at
-// any thread count — and the new index counters, being pure functions of
-// the data, must be thread-count independent at a fixed (choice, budget).
-TEST(ParallelDeterminism, SpatialIndexChoicesBitIdenticalAcrossThreadCounts) {
+// The spatial index is a pure recompute optimization with the same
+// contract as the tile policies. FDBSCAN sweeps its candidates on every
+// backend, FOPTICS and UK-medoids only where rows are recomputed: dense
+// FOPTICS reads all rows, so tiled against dense compares its indexed core
+// distances with the all-rows path. Every (backend, thread count) cell must
+// reproduce the serial dense clustering bit-for-bit, and the index
+// counters, being pure functions of the data, must be thread-count
+// independent at a fixed budget.
+TEST(ParallelDeterminism, SpatialIndexBitIdenticalAcrossBackendsAndThreads) {
   const auto ds = TestDataset(140, 3, 3, 45);
   const std::size_t tiled_budget = 10 * ds.size() * sizeof(double);
   const auto make = [&](const std::string& name, int threads,
-                        std::size_t budget, const std::string& index) {
+                        std::size_t budget) {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.spatial_index = index;
     return MakeClustererOrDie(name, engine::Engine(config));
   };
   for (const std::string& name :
        {std::string("FDBSCAN"), std::string("FOPTICS"),
         std::string("UK-medoids")}) {
+    const ClusteringResult dense = make(name, 1, 0)->Cluster(ds, 3, 13);
     for (const std::size_t budget : {std::size_t{0}, tiled_budget}) {
-      const ClusteringResult off =
-          make(name, 1, budget, "off")->Cluster(ds, 3, 13);
-      for (const std::string index :
-           {std::string("auto"), std::string("rtree"), std::string("grid")}) {
-        ClusteringResult serial;
-        for (int threads : kThreadCounts) {
-          const ClusteringResult out =
-              make(name, threads, budget, index)->Cluster(ds, 3, 13);
-          EXPECT_EQ(out.labels, off.labels)
-              << name << " index=" << index << " budget=" << budget
-              << " threads=" << threads;
-          EXPECT_EQ(out.iterations, off.iterations)
-              << name << " index=" << index << " threads=" << threads;
-          if (!std::isnan(off.objective)) {
-            EXPECT_EQ(out.objective, off.objective)
-                << name << " index=" << index << " threads=" << threads;
-          }
-          if (threads == 1) {
-            serial = out;
-          } else {
-            EXPECT_EQ(out.index_candidates, serial.index_candidates)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.pairs_pruned_by_index, serial.pairs_pruned_by_index)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.index_bound_tests, serial.index_bound_tests)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.ed_evaluations, serial.ed_evaluations)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
-                << name << " index=" << index << " threads=" << threads;
-          }
+      ClusteringResult serial;
+      for (int threads : kThreadCounts) {
+        const ClusteringResult out =
+            make(name, threads, budget)->Cluster(ds, 3, 13);
+        EXPECT_EQ(out.labels, dense.labels)
+            << name << " budget=" << budget << " threads=" << threads;
+        EXPECT_EQ(out.iterations, dense.iterations)
+            << name << " budget=" << budget << " threads=" << threads;
+        if (!std::isnan(dense.objective)) {
+          EXPECT_EQ(out.objective, dense.objective)
+              << name << " budget=" << budget << " threads=" << threads;
+        }
+        if (threads == 1) {
+          serial = out;
+        } else {
+          EXPECT_EQ(out.index_candidates, serial.index_candidates)
+              << name << " budget=" << budget << " threads=" << threads;
+          EXPECT_EQ(out.pairs_pruned_by_index, serial.pairs_pruned_by_index)
+              << name << " budget=" << budget << " threads=" << threads;
+          EXPECT_EQ(out.index_bound_tests, serial.index_bound_tests)
+              << name << " budget=" << budget << " threads=" << threads;
+          EXPECT_EQ(out.ed_evaluations, serial.ed_evaluations)
+              << name << " budget=" << budget << " threads=" << threads;
+          EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
+              << name << " budget=" << budget << " threads=" << threads;
         }
       }
     }

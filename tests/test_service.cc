@@ -115,7 +115,8 @@ TEST(JobSpec, RejectsInvalidBodies) {
 TEST(JobSpec, RejectsRemovedEngineKnobs) {
   for (const char* knob :
        {"pairwise_gather_tiles", "pairwise_warm_rows", "pairwise_pruned_sweeps",
-        "ukmeans_ckmeans_reduction", "ukmeans_bound_pruning"}) {
+        "ukmeans_ckmeans_reduction", "ukmeans_bound_pruning",
+        "spatial_index"}) {
     auto spec = JobSpec::FromJson(
         std::string("{\"dataset_id\": \"d\", \"k\": 3, \"engine\": {\"") +
         knob + "\": true}}");

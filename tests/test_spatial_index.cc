@@ -1,10 +1,8 @@
-// SpatialIndex exactness contract: for every structure (R-tree, grid) and a
-// mix of pdf families / dimensionalities, QueryWithin must return EXACTLY
-// the brute-force set { j : boxes[j].MinSquaredDistanceTo(query) <=
-// threshold2 }, KthMaxSquaredDistance the exact rank statistic of the max
-// bound, NearestCandidates a superset of the min-bound argmin bracket, and
-// QueryNearest the exact (distance, id)-ordered prefix. These are the
-// invariants the indexed FDBSCAN / FOPTICS / UK-medoids sweeps rely on for
+// SpatialIndex exactness contract: over a mix of pdf families and
+// dimensionalities, QueryWithin must return EXACTLY the brute-force set
+// { j : boxes[j].MinSquaredDistanceTo(query) <= threshold2 } and
+// KthMaxSquaredDistance the exact rank statistic of the max bound. These
+// are the invariants the indexed FDBSCAN / FOPTICS sweeps rely on for
 // bit-identical clusterings (docs/spatial-index.md).
 #include <gtest/gtest.h>
 
@@ -28,11 +26,14 @@ namespace {
 using uncertain::Box;
 using uncertain::UncertainObject;
 
-constexpr SpatialIndexKind kKinds[] = {SpatialIndexKind::kRTree,
-                                       SpatialIndexKind::kGrid};
+// The dimensionalities every check runs at: a 1-D line, the low dimensions
+// the paper's figures use, and a higher one where STR packing cycles
+// through many split dimensions.
+constexpr std::size_t kDims[] = {1, 2, 3, 8};
 
-const char* KindName(SpatialIndexKind kind) {
-  return kind == SpatialIndexKind::kRTree ? "rtree" : "grid";
+SpatialIndex IndexOf(const std::vector<UncertainObject>& objects) {
+  return SpatialIndex(
+      std::span<const UncertainObject>(objects.data(), objects.size()));
 }
 
 // Objects with per-dimension pdfs cycling through every supported family —
@@ -88,40 +89,33 @@ std::vector<std::size_t> BruteWithin(
 }
 
 // QueryWithin over random queries and thresholds must equal the brute-force
-// set element-for-element on both structures, across dimensionalities.
+// set element-for-element across dimensionalities.
 TEST(SpatialIndex, QueryWithinMatchesBruteForceAcrossFamilies) {
-  for (const std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
+  for (const std::size_t m : kDims) {
     const auto objects = MixedFamilyObjects(120, m, 0xB0C5 + m);
     common::Rng rng(0xF00D + m);
-    for (const SpatialIndexKind kind : kKinds) {
-      const SpatialIndex index(
-          std::span<const UncertainObject>(objects.data(), objects.size()),
-          kind);
-      ASSERT_EQ(index.size(), objects.size());
-      for (int probe = 0; probe < 64; ++probe) {
-        const std::size_t i = rng.Index(objects.size());
-        // Thresholds from tiny (often-empty result) to huge (everything).
-        const double t2 = std::pow(10.0, rng.Uniform(-4.0, 1.0));
-        const std::size_t exclude =
-            probe % 2 == 0 ? i : objects.size();  // with and without self
-        std::vector<std::size_t> got;
-        index.QueryWithin(objects[i].region(), t2, exclude, &got);
-        EXPECT_EQ(got,
-                  BruteWithin(objects, objects[i].region(), t2, exclude))
-            << KindName(kind) << " m=" << m << " probe=" << probe;
-      }
+    const SpatialIndex index = IndexOf(objects);
+    ASSERT_EQ(index.size(), objects.size());
+    for (int probe = 0; probe < 64; ++probe) {
+      const std::size_t i = rng.Index(objects.size());
+      // Thresholds from tiny (often-empty result) to huge (everything).
+      const double t2 = std::pow(10.0, rng.Uniform(-4.0, 1.0));
+      const std::size_t exclude =
+          probe % 2 == 0 ? i : objects.size();  // with and without self
+      std::vector<std::size_t> got;
+      index.QueryWithin(objects[i].region(), t2, exclude, &got);
+      EXPECT_EQ(got, BruteWithin(objects, objects[i].region(), t2, exclude))
+          << "m=" << m << " probe=" << probe;
     }
   }
 }
 
 // The k-th smallest max-distance bound, the FOPTICS range radius.
 TEST(SpatialIndex, KthMaxSquaredDistanceMatchesBruteForce) {
-  const auto objects = MixedFamilyObjects(80, 3, 0xCAFE);
-  common::Rng rng(0xBEEF);
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(
-        std::span<const UncertainObject>(objects.data(), objects.size()),
-        kind);
+  for (const std::size_t m : kDims) {
+    const auto objects = MixedFamilyObjects(80, m, 0xCAFE + m);
+    common::Rng rng(0xBEEF + m);
+    const SpatialIndex index = IndexOf(objects);
     for (int probe = 0; probe < 48; ++probe) {
       const std::size_t i = rng.Index(objects.size());
       const std::size_t rank = 1 + rng.Index(objects.size() - 1);
@@ -135,7 +129,7 @@ TEST(SpatialIndex, KthMaxSquaredDistanceMatchesBruteForce) {
                        maxes.end());
       EXPECT_EQ(index.KthMaxSquaredDistance(objects[i].region(), rank, i),
                 maxes[rank - 1])
-          << KindName(kind) << " probe=" << probe << " rank=" << rank;
+          << "m=" << m << " probe=" << probe << " rank=" << rank;
     }
     // More ranks than boxes: no radius captures that many.
     EXPECT_EQ(index.KthMaxSquaredDistance(objects[0].region(),
@@ -144,86 +138,21 @@ TEST(SpatialIndex, KthMaxSquaredDistanceMatchesBruteForce) {
   }
 }
 
-// NearestCandidates must bracket the argmin: every id whose min bound does
-// not exceed the smallest max bound is included, and the set is never empty.
-TEST(SpatialIndex, NearestCandidatesBracketTheArgmin) {
-  const auto objects = MixedFamilyObjects(60, 2, 0xD00D);
-  // Index a strided subset (the medoid use case: few boxes, many queries).
-  std::vector<Box> boxes;
-  for (std::size_t j = 0; j < objects.size(); j += 7) {
-    boxes.push_back(objects[j].region());
-  }
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(std::vector<Box>(boxes), kind);
-    std::vector<std::size_t> cand;
-    for (const auto& o : objects) {
-      index.NearestCandidates(o.region(), &cand);
-      ASSERT_FALSE(cand.empty());
-      ASSERT_TRUE(std::is_sorted(cand.begin(), cand.end()));
-      double best_ub = std::numeric_limits<double>::infinity();
-      for (const Box& b : boxes) {
-        best_ub = std::min(best_ub, b.MaxSquaredDistanceTo(o.region()));
-      }
-      for (std::size_t s = 0; s < boxes.size(); ++s) {
-        const bool possible =
-            boxes[s].MinSquaredDistanceTo(o.region()) <= best_ub;
-        const bool listed =
-            std::binary_search(cand.begin(), cand.end(), s);
-        // The candidate set may over-include (slack), never under-include.
-        EXPECT_TRUE(!possible || listed) << KindName(kind) << " slot=" << s;
-      }
-    }
-  }
-}
-
-// QueryNearest: exact (distance, id) order against a brute-force sort.
-TEST(SpatialIndex, QueryNearestMatchesBruteForceOrder) {
-  const auto objects = MixedFamilyObjects(70, 3, 0xACE5);
-  common::Rng rng(0x5EED);
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(
-        std::span<const UncertainObject>(objects.data(), objects.size()),
-        kind);
-    for (int probe = 0; probe < 24; ++probe) {
-      std::vector<double> point = {rng.Uniform(-2.5, 2.5),
-                                   rng.Uniform(-2.5, 2.5),
-                                   rng.Uniform(-2.5, 2.5)};
-      const std::size_t k = 1 + rng.Index(objects.size() + 4);
-      std::vector<std::pair<double, std::size_t>> ranked;
-      for (std::size_t j = 0; j < objects.size(); ++j) {
-        ranked.emplace_back(objects[j].region().MinSquaredDistanceTo(
-                                std::span<const double>(point)),
-                            j);
-      }
-      std::sort(ranked.begin(), ranked.end());
-      std::vector<std::size_t> want;
-      for (std::size_t r = 0; r < std::min(k, ranked.size()); ++r) {
-        want.push_back(ranked[r].second);
-      }
-      std::vector<std::size_t> got;
-      index.QueryNearest(std::span<const double>(point), k, &got);
-      EXPECT_EQ(got, want) << KindName(kind) << " probe=" << probe
-                           << " k=" << k;
-    }
-  }
-}
-
 // Degenerate shapes: a single object, and all boxes stacked on one spot
-// (every pair at distance 0 — the grid collapses to one cell, the R-tree to
-// one leaf; queries must still return complete sets).
+// (every pair at distance 0 — the R-tree collapses to one leaf; queries
+// must still return complete sets).
 TEST(SpatialIndex, SingleObjectAndAllOverlappingBoxes) {
-  const std::vector<double> spot = {0.5, -1.0};
-  for (const SpatialIndexKind kind : kKinds) {
+  for (const std::size_t m : kDims) {
+    const std::vector<double> spot(m, 0.5);
     // Single object.
     std::vector<UncertainObject> one;
     one.push_back(UncertainObject::Deterministic(spot));
-    const SpatialIndex single(
-        std::span<const UncertainObject>(one.data(), one.size()), kind);
+    const SpatialIndex single = IndexOf(one);
     std::vector<std::size_t> out;
     single.QueryWithin(one[0].region(), 1.0, 0, &out);
-    EXPECT_TRUE(out.empty()) << KindName(kind);  // only the excluded self
+    EXPECT_TRUE(out.empty()) << "m=" << m;  // only the excluded self
     single.QueryWithin(one[0].region(), 0.0, one.size(), &out);
-    EXPECT_EQ(out, std::vector<std::size_t>{0}) << KindName(kind);
+    EXPECT_EQ(out, std::vector<std::size_t>{0}) << "m=" << m;
     EXPECT_EQ(single.KthMaxSquaredDistance(one[0].region(), 1, 0),
               std::numeric_limits<double>::infinity());
 
@@ -234,87 +163,49 @@ TEST(SpatialIndex, SingleObjectAndAllOverlappingBoxes) {
         stack.push_back(UncertainObject::Deterministic(spot));
       } else {
         std::vector<uncertain::PdfPtr> dims;
-        dims.push_back(uncertain::UniformPdf::Centered(spot[0], 0.25));
-        dims.push_back(uncertain::UniformPdf::Centered(spot[1], 0.25));
+        for (const double c : spot) {
+          dims.push_back(uncertain::UniformPdf::Centered(c, 0.25));
+        }
         stack.emplace_back(std::move(dims));
       }
     }
-    const SpatialIndex overlap(
-        std::span<const UncertainObject>(stack.data(), stack.size()), kind);
+    const SpatialIndex overlap = IndexOf(stack);
     overlap.QueryWithin(stack[0].region(), 0.0, 3, &out);
-    EXPECT_EQ(out.size(), stack.size() - 1) << KindName(kind);
+    EXPECT_EQ(out.size(), stack.size() - 1) << "m=" << m;
     ASSERT_TRUE(std::is_sorted(out.begin(), out.end()));
     EXPECT_EQ(overlap.KthMaxSquaredDistance(stack[0].region(),
                                             stack.size() - 1, 0),
-              stack[1].region().MaxSquaredDistanceTo(stack[0].region()));
-    overlap.NearestCandidates(stack[0].region(), &out);
-    EXPECT_EQ(out.size(), stack.size()) << KindName(kind);
+              stack[1].region().MaxSquaredDistanceTo(stack[0].region()))
+        << "m=" << m;
   }
 }
 
-// An empty box list builds and answers every query with the empty set.
+// An empty object list builds and answers every query with the empty set.
 TEST(SpatialIndex, EmptyIndexAnswersEmptily) {
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex empty(std::vector<Box>{}, kind);
-    EXPECT_EQ(empty.size(), std::size_t{0});
-    const Box q({0.0}, {1.0});
-    std::vector<std::size_t> out = {99};
-    empty.QueryWithin(q, 1e9, 0, &out);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(empty.KthMaxSquaredDistance(q, 1, 0),
-              std::numeric_limits<double>::infinity());
-    const std::vector<double> p = {0.5};
-    empty.QueryNearest(std::span<const double>(p), 3, &out);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(empty.bound_tests(), 0);
-  }
-}
-
-TEST(SpatialIndex, ChoiceParsingAndResolution) {
-  SpatialIndexChoice c = SpatialIndexChoice::kOff;
-  EXPECT_TRUE(SpatialIndexChoiceFromString("auto", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kAuto);
-  EXPECT_TRUE(SpatialIndexChoiceFromString("rtree", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kRTree);
-  EXPECT_TRUE(SpatialIndexChoiceFromString("grid", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kGrid);
-  EXPECT_TRUE(SpatialIndexChoiceFromString("off", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kOff);
-  c = SpatialIndexChoice::kGrid;
-  EXPECT_FALSE(SpatialIndexChoiceFromString("octree", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kGrid);  // untouched on failure
-
-  EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kAuto), "auto");
-  EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kOff), "off");
-
-  // Auto: grid while cell windows stay compact, R-tree beyond.
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, 2),
-            SpatialIndexKind::kGrid);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, 3),
-            SpatialIndexKind::kGrid);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, 4),
-            SpatialIndexKind::kRTree);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kRTree, 2),
-            SpatialIndexKind::kRTree);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kGrid, 9),
-            SpatialIndexKind::kGrid);
+  const SpatialIndex empty(std::span<const UncertainObject>{});
+  EXPECT_EQ(empty.size(), std::size_t{0});
+  const Box q({0.0}, {1.0});
+  std::vector<std::size_t> out = {99};
+  empty.QueryWithin(q, 1e9, 0, &out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(empty.KthMaxSquaredDistance(q, 1, 0),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(empty.bound_tests(), 0);
 }
 
 // The bound-test counter grows with queries and is what the CI smoke gate
 // compares against the all-pairs floor.
 TEST(SpatialIndex, BoundTestCounterIsMonotone) {
-  const auto objects = MixedFamilyObjects(40, 2, 0x1234);
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(
-        std::span<const UncertainObject>(objects.data(), objects.size()),
-        kind);
+  for (const std::size_t m : kDims) {
+    const auto objects = MixedFamilyObjects(40, m, 0x1234 + m);
+    const SpatialIndex index = IndexOf(objects);
     EXPECT_EQ(index.bound_tests(), 0);
     std::vector<std::size_t> out;
     index.QueryWithin(objects[0].region(), 0.5, 0, &out);
     const int64_t after_one = index.bound_tests();
-    EXPECT_GT(after_one, 0) << KindName(kind);
+    EXPECT_GT(after_one, 0) << "m=" << m;
     index.QueryWithin(objects[1].region(), 0.5, 1, &out);
-    EXPECT_GT(index.bound_tests(), after_one) << KindName(kind);
+    EXPECT_GT(index.bound_tests(), after_one) << "m=" << m;
   }
 }
 

@@ -3,19 +3,21 @@
 // UK-medoids swap sweep is clustering-identical to the dense full sweep
 // below the full-sweep kernel-evaluation floor, the warm-row cache obeys
 // its hit/miss counters and generation/invalidation protocol under the
-// memory budget, and the column-pruned FDBSCAN sweep serves the unpruned
+// memory budget, the column-pruned FDBSCAN sweep serves the unpruned
 // sweep's exact values while skipping pairs whose distance probability is
-// provably 0.
+// provably 0, and the spatial-index-fed candidate sweep serves the pruned
+// sweep's exact values with the same evaluated/pruned split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "clustering/fdbscan.h"
 #include "clustering/pairwise_store.h"
 #include "clustering/pruning.h"
+#include "clustering/spatial_index.h"
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
@@ -53,14 +55,70 @@ PairwiseStoreOptions Explicit(PairwiseBackend backend, std::size_t tile_rows,
   return o;
 }
 
-engine::Engine BudgetEngine(std::size_t budget,
-                            const std::string& spatial_index = "auto") {
+engine::Engine BudgetEngine(std::size_t budget) {
   engine::EngineConfig config;
   config.num_threads = 1;
   config.block_size = 32;
   config.memory_budget_bytes = budget;
-  config.spatial_index = spatial_index;
   return engine::Engine(config);
+}
+
+// Strict upper-triangle tails, row by row, as a sweep visits them.
+using Tails = std::vector<std::vector<double>>;
+
+PairwiseStore::UpperVisitor CollectInto(Tails* tails) {
+  return [tails](std::size_t i, std::span<const double> tail) {
+    (*tails)[i].assign(tail.begin(), tail.end());
+  };
+}
+
+// Per-row candidate columns j > i from SpatialIndex::QueryWithin at the
+// slacked eps^2 threshold: the lists FDBSCAN's indexed sweep is fed.
+std::vector<std::vector<std::size_t>> IndexCandidates(
+    const data::UncertainDataset& ds, double eps) {
+  const SpatialIndex index(ds.objects());
+  const double threshold2 = SlackedSquaredThreshold(eps * eps);
+  std::vector<std::vector<std::size_t>> cands(ds.size());
+  std::vector<std::size_t> hits;
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    index.QueryWithin(ds.object(i).region(), threshold2, i, &hits);
+    cands[i].assign(std::upper_bound(hits.begin(), hits.end(), i),
+                    hits.end());
+  }
+  return cands;
+}
+
+// The store-level reference FDBSCAN's pairwise sweep must reproduce: the
+// all-pairs PairwiseBoundIndex predicate sweep (VisitUpperTriangle with
+// ProvablyBeyond) over the distance-probability kernel of the same samples,
+// on the backend `budget` selects. No spatial index is involved.
+struct PredicateSweep {
+  Tails tails;
+  int64_t evaluations = 0;
+  int64_t pruned = 0;
+  int64_t ed_evaluations = 0;
+};
+
+PredicateSweep PredicateSweepReference(const data::UncertainDataset& ds,
+                                       const Fdbscan::Params& fp,
+                                       std::size_t budget) {
+  const engine::Engine eng;
+  const uncertain::ResidentSampleStore samples(ds.objects(), fp.samples,
+                                               fp.sample_seed, eng);
+  const PairwiseBoundIndex bounds(ds.objects());
+  PairwiseStore store(
+      eng, kernels::PairwiseKernel::DistanceProbability(samples.view(), fp.eps),
+      PairwiseStoreOptions::FromBudget(budget, ds.size()));
+  PredicateSweep ref;
+  ref.tails.resize(ds.size());
+  store.VisitUpperTriangle(CollectInto(&ref.tails),
+                           [&](std::size_t i, std::size_t j) {
+                             return bounds.ProvablyBeyond(i, j, fp.eps);
+                           });
+  ref.evaluations = store.evaluations();
+  ref.pruned = store.pruned_pairs();
+  ref.ed_evaluations = store.ed_evaluations();
+  return ref;
 }
 
 std::vector<double> CollectSymmetricBlock(PairwiseStore* store,
@@ -253,8 +311,7 @@ TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
 // probability sweep with the PairwiseBoundIndex predicate serves, tail for
 // tail, the values of the un-predicated sweep over the same kernel, and
 // every pair is accounted as either evaluated or pruned. FDBSCAN itself
-// (index off, so it runs exactly this predicate sweep) must report the
-// same evaluated/pruned split.
+// must report that predicate sweep's evaluated/pruned split.
 TEST(TilePolicies, FdbscanPrunedSweepBitIdenticalWithFewerEvaluations) {
   const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
   const std::size_t n = ds.size();
@@ -268,46 +325,80 @@ TEST(TilePolicies, FdbscanPrunedSweepBitIdenticalWithFewerEvaluations) {
                                                fp.sample_seed, eng);
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::DistanceProbability(samples.view(), fp.eps);
-  const PairwiseBoundIndex bounds(ds.objects());
-  const auto collect = [&](PairwiseStore* store, bool pruned) {
-    std::vector<std::vector<double>> tails(n);
-    const auto visit = [&](std::size_t i, std::span<const double> tail) {
-      tails[i].assign(tail.begin(), tail.end());
-    };
-    if (pruned) {
-      store->VisitUpperTriangle(visit, [&](std::size_t i, std::size_t j) {
-        return bounds.ProvablyBeyond(i, j, fp.eps);
-      });
-    } else {
-      store->VisitUpperTriangle(visit);
-    }
-    return tails;
-  };
 
   const std::size_t row_bytes = n * sizeof(double);
   for (const std::size_t budget : {std::size_t{0}, 10 * row_bytes}) {
-    const PairwiseStoreOptions options =
-        PairwiseStoreOptions::FromBudget(budget, n);
-    PairwiseStore plain_store(eng, kernel, options);
-    PairwiseStore pruned_store(eng, kernel, options);
-    const auto plain = collect(&plain_store, false);
-    const auto pruned = collect(&pruned_store, true);
+    PairwiseStore plain_store(eng, kernel,
+                              PairwiseStoreOptions::FromBudget(budget, n));
+    Tails plain(n);
+    plain_store.VisitUpperTriangle(CollectInto(&plain));
+    const PredicateSweep pruned = PredicateSweepReference(ds, fp, budget);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(pruned[i], plain[i]) << "row " << i << " budget=" << budget;
+      ASSERT_EQ(pruned.tails[i], plain[i])
+          << "row " << i << " budget=" << budget;
     }
     EXPECT_EQ(plain_store.evaluations(), all_pairs) << "budget=" << budget;
-    EXPECT_GT(pruned_store.pruned_pairs(), 0) << "budget=" << budget;
-    EXPECT_EQ(pruned_store.evaluations() + pruned_store.pruned_pairs(),
-              all_pairs)
+    EXPECT_GT(pruned.pruned, 0) << "budget=" << budget;
+    EXPECT_EQ(pruned.evaluations + pruned.pruned, all_pairs)
         << "budget=" << budget;
 
     Fdbscan algo(fp);
-    algo.set_engine(BudgetEngine(budget, "off"));
+    algo.set_engine(BudgetEngine(budget));
     const ClusteringResult r = algo.Cluster(ds, 3, 17);
-    EXPECT_EQ(r.pair_evaluations, pruned_store.evaluations())
-        << "budget=" << budget;
-    EXPECT_EQ(r.pairs_pruned, pruned_store.pruned_pairs())
-        << "budget=" << budget;
+    EXPECT_EQ(r.pair_evaluations, pruned.evaluations) << "budget=" << budget;
+    EXPECT_EQ(r.pairs_pruned, pruned.pruned) << "budget=" << budget;
+  }
+}
+
+// The index-fed candidate sweep against the all-pairs predicate sweep, at
+// store level on every backend: candidates from SpatialIndex::QueryWithin,
+// filtered by the same predicate, must serve bit-identical tails and the
+// same evaluated/pruned split. This is the exactness FDBSCAN's indexed
+// sweep rests on.
+TEST(TilePolicies, IndexedCandidateSweepMatchesPredicateSweep) {
+  for (const std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    const auto ds = TestDataset(150, m, 3, 151 + m, /*min_separation=*/0.45);
+    const std::size_t n = ds.size();
+    Fdbscan::Params fp;
+    // Distances grow like sqrt(m): scaling eps with them keeps within-class
+    // neighbors at every m while cross-class pairs still prune.
+    fp.eps = 0.08 * std::sqrt(static_cast<double>(m) / 2.0);
+    const engine::Engine eng;
+    const uncertain::ResidentSampleStore samples(ds.objects(), fp.samples,
+                                                 fp.sample_seed, eng);
+    const kernels::PairwiseKernel kernel =
+        kernels::PairwiseKernel::DistanceProbability(samples.view(), fp.eps);
+    const PairwiseBoundIndex bounds(ds.objects());
+    const auto cands = IndexCandidates(ds, fp.eps);
+
+    const std::size_t row_bytes = n * sizeof(double);
+    // Dense, tiled (~10 rows), and on-the-fly (below one row).
+    for (const std::size_t budget :
+         {std::size_t{0}, 10 * row_bytes, std::size_t{1}}) {
+      const PredicateSweep want = PredicateSweepReference(ds, fp, budget);
+      PairwiseStore indexed(eng, kernel,
+                            PairwiseStoreOptions::FromBudget(budget, n));
+      Tails got(n);
+      indexed.VisitUpperTriangleCandidates(
+          CollectInto(&got),
+          [&](std::size_t i) {
+            return std::span<const std::size_t>(cands[i]);
+          },
+          [&](std::size_t i, std::size_t j) {
+            return bounds.ProvablyBeyond(i, j, fp.eps);
+          });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], want.tails[i])
+            << "row " << i << " m=" << m << " budget=" << budget;
+      }
+      EXPECT_EQ(indexed.evaluations(), want.evaluations)
+          << "m=" << m << " budget=" << budget;
+      EXPECT_EQ(indexed.pruned_pairs(), want.pruned)
+          << "m=" << m << " budget=" << budget;
+      // Both sides did real work and real pruning.
+      EXPECT_GT(want.evaluations, 0) << "m=" << m;
+      EXPECT_GT(want.pruned, 0) << "m=" << m;
+    }
   }
 }
 
@@ -370,51 +461,47 @@ TEST(TilePolicies, PairwiseBoundIndexMixedDegeneratePairs) {
 }
 
 // The indexed FDBSCAN sweep composes "index narrows, predicate filters":
-// whichever structure narrows the candidate set, the evaluated pairs — and
-// with them the labels and both pruning counters — must be bit-identical to
-// the all-pairs predicate sweep, with only the bound-test count dropping.
+// the evaluated pairs — and with them both pruning counters and the kernel
+// work — must equal the all-pairs store-level predicate sweep's, with only
+// the bound-test count dropping. The tails themselves are pinned by
+// IndexedCandidateSweepMatchesPredicateSweep, so the labels built on them
+// must agree across backends.
 TEST(TilePolicies, FdbscanIndexedSweepCounterIdentical) {
   const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
   const std::size_t n = ds.size();
 
   Fdbscan::Params fp;
   fp.eps = 0.08;
-  const auto run = [&](std::size_t budget, const std::string& index) {
+  const auto run = [&](std::size_t budget) {
     Fdbscan algo(fp);
-    algo.set_engine(BudgetEngine(budget, index));
+    algo.set_engine(BudgetEngine(budget));
     return algo.Cluster(ds, 3, 17);
   };
 
   const std::size_t row_bytes = n * sizeof(double);
   const int64_t all_pairs =
       static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
+  const ClusteringResult dense = run(0);
   for (const std::size_t budget : {std::size_t{0}, 10 * row_bytes}) {
-    const ClusteringResult off = run(budget, "off");
-    EXPECT_EQ(off.index_candidates, 0);
-    EXPECT_EQ(off.index_bound_tests, 0);
-    for (const char* index : {"rtree", "grid", "auto"}) {
-      const ClusteringResult indexed = run(budget, index);
-      EXPECT_EQ(indexed.labels, off.labels)
-          << index << " budget=" << budget;
-      EXPECT_EQ(indexed.clusters_found, off.clusters_found) << index;
-      EXPECT_EQ(indexed.noise_objects, off.noise_objects) << index;
-      // The exact counter identity: same pairs evaluated, same pairs
-      // predicate-pruned, every pair accounted for.
-      EXPECT_EQ(indexed.pair_evaluations, off.pair_evaluations) << index;
-      EXPECT_EQ(indexed.pairs_pruned, off.pairs_pruned) << index;
-      EXPECT_EQ(indexed.ed_evaluations, off.ed_evaluations) << index;
-      EXPECT_EQ(indexed.pair_evaluations + indexed.pairs_pruned, all_pairs)
-          << index << " budget=" << budget;
-      EXPECT_EQ(indexed.index_candidates + indexed.pairs_pruned_by_index,
-                all_pairs)
-          << index << " budget=" << budget;
-      // The index did real narrowing on this separable dataset. (The
-      // bound-cost advantage over the n*(n-1)/2 floor only materializes at
-      // scale — bench_pairwise_smoke gates it at CI size.)
-      EXPECT_GT(indexed.pairs_pruned_by_index, 0) << index;
-      EXPECT_GT(indexed.index_candidates, 0) << index;
-      EXPECT_GT(indexed.index_bound_tests, 0) << index;
-    }
+    const PredicateSweep ref = PredicateSweepReference(ds, fp, budget);
+    const ClusteringResult indexed = run(budget);
+    EXPECT_EQ(indexed.labels, dense.labels) << "budget=" << budget;
+    // The exact counter identity: same pairs evaluated, same pairs
+    // predicate-pruned, every pair accounted for.
+    EXPECT_EQ(indexed.pair_evaluations, ref.evaluations) << budget;
+    EXPECT_EQ(indexed.pairs_pruned, ref.pruned) << budget;
+    EXPECT_EQ(indexed.ed_evaluations, ref.ed_evaluations) << budget;
+    EXPECT_EQ(indexed.pair_evaluations + indexed.pairs_pruned, all_pairs)
+        << "budget=" << budget;
+    EXPECT_EQ(indexed.index_candidates + indexed.pairs_pruned_by_index,
+              all_pairs)
+        << "budget=" << budget;
+    // The index did real narrowing on this separable dataset. (The
+    // bound-cost advantage over the n*(n-1)/2 floor only materializes at
+    // scale — bench_pairwise_smoke gates it at CI size.)
+    EXPECT_GT(indexed.pairs_pruned_by_index, 0) << budget;
+    EXPECT_GT(indexed.index_candidates, 0) << budget;
+    EXPECT_GT(indexed.index_bound_tests, 0) << budget;
   }
 }
 
