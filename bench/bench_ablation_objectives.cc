@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   const common::ArgParser args(argc, argv);
   const int trials = static_cast<int>(args.GetInt("trials", 200));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  args.RejectUnknownFlags();
   common::Rng rng(seed);
 
   std::printf("=== Ablation A: objective-function identities over %d random "

@@ -31,6 +31,9 @@ int main(int argc, char** argv) {
        common::SplitString(args.GetString("k", "5,10,20"), ',')) {
     ks.push_back(std::stoi(tok));
   }
+  const engine::Engine eng(
+      bench::EngineConfigFromFlagsOrDie(args, "ablation pruning"));
+  args.RejectUnknownFlags();
 
   data::MixtureParams mix;
   mix.n = n;
@@ -40,8 +43,6 @@ int main(int argc, char** argv) {
   data::UncertaintyParams up;
   up.family = data::PdfFamily::kNormal;
   const auto ds = data::UncertaintyModel(source, up, seed + 1).Uncertain();
-  const engine::Engine eng(
-      bench::EngineConfigFromFlagsOrDie(args, "ablation pruning"));
 
   struct Config {
     const char* label;

@@ -16,21 +16,22 @@
 //                       doubles) followed by the in-memory run. Under CI's
 //                       `ulimit -v` cap this is expected to exhaust the
 //                       address space: CKMEANS RESULT=OOM (exit 3).
-//   --mode=minibatch -> CkMeans::ClusterFile with a forced mini-batch size:
-//                       epoch streaming re-reads the file once per
-//                       iteration holding only O(n) labels/bounds plus one
-//                       batch of moments — expected to finish under the
-//                       same cap: CKMEANS RESULT=OK.
+//   --mode=minibatch -> CkMeans::ClusterFile under a --memory_budget_mb
+//                       below the (m + 1) n-double reduction: epoch
+//                       streaming re-reads the file once per iteration
+//                       holding only O(n) labels/bounds plus one
+//                       budget-sized batch of moments — expected to finish
+//                       under the same cap: CKMEANS RESULT=OK. A budget the
+//                       reduction fits (or none) is a usage error.
 //
 // Flags:
 //   --dataset=PATH       binary dataset file                   (required)
 //   --mode=compare|resident|minibatch                  (default compare)
 //   --k=K                clusters                              (default 8)
 //   --max_iters=I        Lloyd iteration cap                   (default 30)
-//   --minibatch=B        rows per epoch batch (minibatch mode) (default 8192)
 //   --max_eval_ratio=X   compare-mode pruning gate             (default 0.5)
 //   --seed=S             clustering seed                       (default 1)
-//   --threads=N --block_size=B                                 engine knobs
+//   --threads=N --block_size=B --memory_budget_mb=M            engine knobs
 #include <cstdint>
 #include <cstdio>
 #include <new>
@@ -63,18 +64,31 @@ int Run(int argc, char** argv) {
   const int k = static_cast<int>(args.GetInt("k", 8));
   const int max_iters = static_cast<int>(args.GetInt("max_iters", 30));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  engine::EngineConfig config =
-      bench::EngineConfigFromFlagsOrDie(args, "ckmeans smoke");
-  if (mode == "minibatch") {
-    config.ukmeans_minibatch_size =
-        static_cast<std::size_t>(args.GetInt("minibatch", 8192));
-  }
-  const engine::Engine eng(config);
+  const double max_eval_ratio = args.GetDouble("max_eval_ratio", 0.5);
+  const engine::Engine eng(
+      bench::EngineConfigFromFlagsOrDie(args, "ckmeans smoke"));
+  args.RejectUnknownFlags();
 
   std::printf("[ckmeans smoke] mode=%s dataset=%s k=%d max_iters=%d\n",
               mode.c_str(), path.c_str(), k, max_iters);
 
   if (mode == "minibatch") {
+    io::MomentBatchStream file;
+    if (const common::Status st = file.Open(path); !st.ok()) {
+      std::fprintf(stderr, "ckmeans smoke: %s\n", st.ToString().c_str());
+      std::printf(kFail);
+      return 1;
+    }
+    const std::size_t budget = eng.memory_budget_bytes();
+    const std::size_t reduced_bytes =
+        (file.dims() + 1) * file.size() * sizeof(double);
+    if (budget == 0 || reduced_bytes <= budget) {
+      std::fprintf(stderr,
+                   "ckmeans smoke: minibatch mode needs a memory budget "
+                   "below the %zu-byte reduced moments\n",
+                   reduced_bytes);
+      return 1;
+    }
     clustering::CkMeans::Params p;
     p.max_iters = max_iters;
     common::Stopwatch sw;
@@ -98,7 +112,8 @@ int Run(int argc, char** argv) {
       return 1;
     }
     std::printf("CKMEANS RESULT=OK mode=minibatch n=%zu batch=%zu\n",
-                out.labels.size(), eng.ukmeans_minibatch_size());
+                out.labels.size(),
+                clustering::CkMeans::EpochBatchRows(file.dims(), budget));
     return 0;
   }
 
@@ -143,7 +158,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  const double max_eval_ratio = args.GetDouble("max_eval_ratio", 0.5);
   clustering::Ukmeans::Params dp;
   dp.max_iters = max_iters;
   sw.Reset();

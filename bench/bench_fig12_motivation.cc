@@ -18,6 +18,7 @@
 #include "clustering/cluster_stats.h"
 #include "clustering/ucpc.h"
 #include "clustering/ukmeans.h"
+#include "common/cli.h"
 #include "common/math_utils.h"
 #include "data/dataset.h"
 #include "data/uncertainty_model.h"
@@ -46,7 +47,8 @@ ClusterMoments Aggregate(const MomentMatrix& mm) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  common::ArgParser(argc, argv).RejectUnknownFlags();  // takes no flags
   std::printf("=== Figures 1 & 2: why the U-centroid objective is needed "
               "===\n\n");
 

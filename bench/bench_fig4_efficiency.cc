@@ -96,9 +96,11 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const std::string json_out =
       args.GetString("json_out", "BENCH_fig4_efficiency.json");
+  const std::string dataset_path = args.GetString("dataset", "");
 
   const engine::Engine eng(
       bench::EngineConfigFromFlagsOrDie(args, "fig4 efficiency"));
+  args.RejectUnknownFlags();
 
   data::UncertaintyParams up;
   up.family = data::PdfFamily::kNormal;
@@ -125,8 +127,7 @@ int main(int argc, char** argv) {
   // Optional file-backed workload: the object-backed (slow group) timings
   // need resident pdfs, so this loads the file fully — moment-only streaming
   // at scale is fig5's --dataset mode.
-  if (const std::string dataset_path = args.GetString("dataset", "");
-      !dataset_path.empty()) {
+  if (!dataset_path.empty()) {
     auto loaded = io::ReadUncertainDataset(dataset_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "fig4: %s\n", loaded.status().ToString().c_str());

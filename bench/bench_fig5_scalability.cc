@@ -11,9 +11,9 @@
 // accounting, records the tile-policy row (gather tiles + warm rows under a
 // quarter-dense-table budget, with kernel-eval and warm-hit counters
 // against the full-sweep evaluation floor) plus an FDBSCAN pruned sweep on
-// a mix-family dataset, sweeps the CK-means axis (direct reference vs
-// reduced+bounds UK-means assignment work, with distance-eval and
-// bounds-skip accounting), sweeps the
+// a mix-family dataset under the same capped budget, sweeps the CK-means
+// axis (direct reference vs reduced+bounds UK-means assignment work, with
+// distance-eval and bounds-skip accounting), sweeps the
 // MomentStore backend axis (resident columns vs the mmap-backed .umom
 // sidecar) on the fast group with moments-bytes-resident accounting, and
 // persists everything to a machine-readable BENCH_fig5_scalability.json
@@ -116,6 +116,11 @@ int main(int argc, char** argv) {
   const std::string json_out =
       args.GetString("json_out", "BENCH_fig5_scalability.json");
   const std::string dataset_path = args.GetString("dataset", "");
+  const bool with_moment_backends = args.GetBool("with_moment_backends", true);
+  const std::size_t pairwise_n =
+      static_cast<std::size_t>(args.GetInt("pairwise_n", 1500));
+  const std::size_t tiled_budget =
+      static_cast<std::size_t>(args.GetInt("pairwise_budget_mb", 4)) << 20;
   int k = 23;
 
   const engine::EngineConfig engine_config =
@@ -124,6 +129,7 @@ int main(int argc, char** argv) {
   engine::EngineConfig speedup_config = engine_config;
   speedup_config.num_threads =
       static_cast<int>(args.GetInt("speedup_threads", 0));
+  args.RejectUnknownFlags();
   const engine::Engine speedup_eng(speedup_config);
   const engine::Engine serial_eng;
 
@@ -390,10 +396,10 @@ int main(int argc, char** argv) {
   // chunk-window cache) — which is the new memory floor this axis tracks.
   // RSS is recorded too, but the resident columns already exist in this
   // process, so moments_bytes_resident is the meaningful memory signal.
-  if (largest_mm.size() > 0 && args.GetBool("with_moment_backends", true)) {
+  if (largest_mm.size() > 0 && with_moment_backends) {
     const std::string umom_path = json_out + ".umom";
-    const common::Status wst = io::WriteMomentFile(
-        largest_mm.view(), umom_path, eng.moment_chunk_rows());
+    const common::Status wst =
+        io::WriteMomentFile(largest_mm.view(), umom_path);
     auto mapped_store =
         wst.ok() ? io::MappedMomentStore::Open(umom_path)
                  : common::Result<std::unique_ptr<io::MappedMomentStore>>(wst);
@@ -458,12 +464,7 @@ int main(int argc, char** argv) {
   // under an unlimited budget (dense table), a tiled budget, and a 1-byte
   // budget (on-the-fly rows). Labels must agree bit-for-bit; what changes
   // is peak table memory (recorded from the store) and process RSS.
-  const std::size_t pairwise_n =
-      static_cast<std::size_t>(args.GetInt("pairwise_n", 1500));
   if (pairwise_n > 0) {
-    const std::size_t tiled_budget =
-        static_cast<std::size_t>(args.GetInt("pairwise_budget_mb", 4))
-        << 20;
     data::KddLikeParams kp;
     kp.n = std::max<std::size_t>(pairwise_n, static_cast<std::size_t>(k));
     const auto source = data::MakeKddLikeDataset(kp, seed);
@@ -611,16 +612,20 @@ int main(int argc, char** argv) {
                                           det.labels, det.num_classes);
       clustering::Fdbscan::Params fp;
       fp.eps = 0.1;  // below the class separation: cross-class pairs prune
+      // Capped at a quarter of the dense table, like the tile-policy row,
+      // so the pruned sweep runs on the tiled backend at every size.
+      const std::size_t pruning_budget = std::min(
+          tiled_budget, mix_ds.size() * mix_ds.size() * sizeof(double) / 4);
       std::printf("\n[fdbscan pruned-sweep axis: mix-family dataset, "
-                  "n=%zu]\n",
-                  mix_ds.size());
+                  "n=%zu, budget = %zu KiB]\n",
+                  mix_ds.size(), pruning_budget >> 10);
       std::printf("%10s | %10s %14s %14s\n", "sweep", "online",
                   "kernel_evals", "pairs_pruned");
       json.Key("fdbscan_pruning");
       json.BeginArray();
       {
         engine::EngineConfig pc = engine_config;
-        pc.memory_budget_bytes = tiled_budget;
+        pc.memory_budget_bytes = pruning_budget;
         clustering::Fdbscan algo(fp);
         algo.set_engine(engine::Engine(pc));
         const clustering::ClusteringResult r = algo.Cluster(mix_ds, k, seed);

@@ -58,6 +58,7 @@ int Run(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const engine::Engine eng(
       bench::EngineConfigFromFlagsOrDie(args, "ingest smoke"));
+  args.RejectUnknownFlags();
 
   std::printf("[ingest smoke] mode=%s dataset=%s batch=%zu budget=%zu\n",
               mode.c_str(), path.c_str(), batch, eng.memory_budget_bytes());

@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const std::string json_out =
       args.GetString("json_out", "BENCH_kernel_throughput.json");
+  args.RejectUnknownFlags();
 
   const Inputs in = MakeInputs(m, tile_rows, n, k, seed);
   const simd::Isa best = simd::DetectBestIsa();

@@ -27,7 +27,7 @@
 //   --max_iters=I    UK-means iteration cap                   (default 30)
 //   --batch=B        streaming batch size                     (default 4096)
 //   --seed=S         clustering seed                          (default 1)
-//   --threads=N --block_size=B --moment_chunk_rows=R          engine knobs
+//   --threads=N --block_size=B --memory_budget_mb=M           engine knobs
 #include <cstdint>
 #include <cstdio>
 #include <new>
@@ -58,6 +58,8 @@ int Run(int argc, char** argv) {
   const std::string mode = args.GetString("mode", "mapped");
   const int k = static_cast<int>(args.GetInt("k", 8));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  clustering::Ukmeans::Params params;
+  params.max_iters = static_cast<int>(args.GetInt("max_iters", 30));
   const engine::Engine eng(
       bench::EngineConfigFromFlagsOrDie(args, "moments smoke"));
 
@@ -65,6 +67,7 @@ int Run(int argc, char** argv) {
   options.batch_size = static_cast<std::size_t>(args.GetInt("batch", 4096));
   options.sidecar_path = args.GetString("sidecar", "");
   options.reuse_sidecar = args.GetBool("reuse_sidecar", true);
+  args.RejectUnknownFlags();
   if (mode == "mapped") {
     options.backend = io::BackendChoice::kMapped;
   } else if (mode == "resident") {
@@ -75,9 +78,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("[moments smoke] mode=%s dataset=%s batch=%zu chunk_hint=%zu\n",
-              mode.c_str(), path.c_str(), options.batch_size,
-              eng.moment_chunk_rows());
+  std::printf("[moments smoke] mode=%s dataset=%s batch=%zu\n",
+              mode.c_str(), path.c_str(), options.batch_size);
 
   common::Stopwatch sw;
   std::vector<int> labels;
@@ -107,8 +109,6 @@ int Run(int argc, char** argv) {
   }
 
   sw.Reset();
-  clustering::Ukmeans::Params params;
-  params.max_iters = static_cast<int>(args.GetInt("max_iters", 30));
   const auto outcome =
       clustering::Ukmeans::RunOnMoments(mm, k, seed, params, eng);
   std::printf("[moments smoke] UK-means k=%d: objective=%.4f iterations=%d "
@@ -124,9 +124,10 @@ int Run(int argc, char** argv) {
     // Diagnose whether the windows actually came from mmap or from the
     // graceful heap-read fallback — same values either way, different
     // paging behavior.
-    std::printf("[moments smoke] mmap_windows=%s (mmap supported: %s)\n",
+    std::printf("[moments smoke] mmap_windows=%s (mmap supported: %s) "
+                "chunk_rows=%zu\n",
                 mapped->used_mmap() ? "yes" : "no",
-                io::MmapSupported() ? "yes" : "no");
+                io::MmapSupported() ? "yes" : "no", mapped->chunk_rows());
   }
   std::printf("MOMENTS_SMOKE RESULT=OK mode=%s backend=%s n=%zu\n",
               mode.c_str(),

@@ -72,9 +72,12 @@ int Run(int argc, char** argv) {
   const int k = static_cast<int>(args.GetInt("k", 8));
   const int max_iters = static_cast<int>(args.GetInt("max_iters", 2));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  const std::size_t index_n =
+      static_cast<std::size_t>(args.GetInt("index_n", 6000));
 
   const engine::EngineConfig config =
       bench::EngineConfigFromFlagsOrDie(args, "pairwise smoke");
+  args.RejectUnknownFlags();
   const engine::Engine eng(config);
 
   std::printf("[pairwise smoke] n=%zu m=%zu k=%d budget=%zu bytes "
@@ -150,8 +153,6 @@ int Run(int argc, char** argv) {
     // candidate queries well below the n * (n - 1) / 2 pair-bound floor the
     // all-pairs predicate sweep pays — the whole point of candidate-SET
     // pruning — without losing a pair the predicate would have evaluated.
-    const std::size_t index_n =
-        static_cast<std::size_t>(args.GetInt("index_n", 6000));
     // The regime a range index targets: 3-D, broad clusters (moderate local
     // density) and localized uncertainty regions well below eps. Tight 2-D
     // cluster cores or fat regions push the TRUE eps-neighbor count — which

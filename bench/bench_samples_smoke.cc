@@ -33,7 +33,7 @@
 //   --k=K            pseudo-centers for the assignment sweep  (default 8)
 //   --batch=B        streaming build batch size               (default 1024)
 //   --json_out=PATH  bench JSON artifact ("" = none)          (default "")
-//   --threads=N --sample_chunk_rows=R                         engine knobs
+//   --threads=N --memory_budget_mb=M                          engine knobs
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -93,6 +93,8 @@ int Run(int argc, char** argv) {
   options.batch_size = static_cast<std::size_t>(args.GetInt("batch", 1024));
   options.sidecar_path = args.GetString("sidecar", "");
   options.reuse_sidecar = args.GetBool("reuse_sidecar", true);
+  const std::string json_out = args.GetString("json_out", "");
+  args.RejectUnknownFlags();
   if (mode == "mapped") {
     options.backend = io::BackendChoice::kMapped;
   } else if (mode == "resident") {
@@ -104,10 +106,10 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("[samples smoke] mode=%s dataset=%s S=%d seed=%llx "
-              "batch=%zu chunk_hint=%zu\n",
+              "batch=%zu\n",
               mode.c_str(), path.c_str(), samples_per_object,
               static_cast<unsigned long long>(sample_seed),
-              options.batch_size, eng.sample_chunk_rows());
+              options.batch_size);
 
   common::Stopwatch sw;
   auto read = io::ReadUncertainDataset(path);
@@ -208,7 +210,6 @@ int Run(int argc, char** argv) {
                 mapped->sidecar_path().c_str());
   }
 
-  const std::string json_out = args.GetString("json_out", "");
   if (!json_out.empty()) {
     common::JsonWriter json;
     json.BeginObject();

@@ -277,6 +277,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "service smoke: %s\n", st.ToString().c_str());
     return 1;
   }
+  args.RejectUnknownFlags();
 
   if (!PhaseLoopback(dataset, k, max_iters, seed, engine_cfg)) {
     std::printf(kFail);

@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
 
   const auto algorithms = MakeAlgorithms(
       engine::Engine(bench::EngineConfigFromFlagsOrDie(args, "table2")));
+  args.RejectUnknownFlags();
   const data::PdfFamily families[] = {data::PdfFamily::kUniform,
                                       data::PdfFamily::kNormal,
                                       data::PdfFamily::kExponential};

@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
 
   const auto algorithms = MakeAlgorithms(
       engine::Engine(bench::EngineConfigFromFlagsOrDie(args, "table3")));
+  args.RejectUnknownFlags();
   const int cluster_counts[] = {2, 3, 5, 10, 15, 20, 25, 30};
 
   std::printf("=== Table 3: internal quality Q on real (microarray-like) "

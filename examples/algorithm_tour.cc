@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   for (auto& algo : algorithms) algo->set_engine(eng);
 
   const int runs = static_cast<int>(args.GetInt("runs", 5));
+  args.RejectUnknownFlags();
   std::printf("algorithm_tour: n=%zu m=%zu classes=%d family=%s runs=%d\n\n",
               ds.size(), ds.dims(), classes, data::PdfFamilyName(family),
               runs);

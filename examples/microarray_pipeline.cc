@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const std::string name = args.GetString("dataset", "Neuroblastoma");
   const int genes = static_cast<int>(args.GetInt("genes", 2000));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 11));
+  args.RejectUnknownFlags();
 
   // Scale the paper-sized dataset down to the requested gene count.
   const auto specs = uclust::data::PaperMicroarraySpecs();

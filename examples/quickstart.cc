@@ -13,13 +13,15 @@
 #include <vector>
 
 #include "clustering/ucpc.h"
+#include "common/cli.h"
 #include "data/dataset.h"
 #include "engine/engine.h"
 #include "uncertain/expected_distance.h"
 #include "uncertain/normal_pdf.h"
 #include "uncertain/uniform_pdf.h"
 
-int main() {
+int main(int argc, char** argv) {
+  uclust::common::ArgParser(argc, argv).RejectUnknownFlags();  // takes none
   using uclust::uncertain::PdfPtr;
   using uclust::uncertain::TruncatedNormalPdf;
   using uclust::uncertain::UncertainObject;

@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
   // snapshots stop being clusterable around 1/3 of the field size).
   const double noise = args.GetDouble("noise", 0.35);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+  const int runs = static_cast<int>(args.GetInt("runs", 10));
+  args.RejectUnknownFlags();
 
   // True deployment: `groups` spatial clusters of sensors in the unit square.
   uclust::data::MixtureParams mix;
@@ -47,7 +49,6 @@ int main(int argc, char** argv) {
   // were exact. Pipeline B (uncertainty-aware): cluster the uncertain
   // objects with UCPC. Both averaged over several runs — initialization and
   // snapshot noise are random, exactly like the paper's protocol.
-  const int runs = static_cast<int>(args.GetInt("runs", 10));
   const uclust::data::UncertainDataset uncertain = model.Uncertain();
   const uclust::clustering::Ukmeans ukm;
   const uclust::clustering::Ucpc ucpc;

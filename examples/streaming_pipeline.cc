@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   using namespace uclust;  // NOLINT: example brevity
   const common::ArgParser args(argc, argv);
   const std::string path = args.GetString("path", "/tmp/uclust_demo.ubin");
+  args.RejectUnknownFlags();
 
   // 1. Generate two noisy groups and serialize them object by object. A
   // real producer (tools/dataset_gen.cc) never holds more than one object.

@@ -455,6 +455,16 @@ ClusteringResult CkMeans::Cluster(const data::UncertainDataset& data, int k,
                            offline_ms);
 }
 
+std::size_t CkMeans::EpochBatchRows(std::size_t m,
+                                    std::size_t budget_bytes) {
+  if (budget_bytes == 0) return io::kDefaultBatchSize;
+  // One batch row is one io::MomentColumns row: mean, mu2 and var (m doubles
+  // each) plus the total variance.
+  const std::size_t row_bytes = (3 * m + 1) * sizeof(double);
+  return std::clamp<std::size_t>(budget_bytes / row_bytes, 1,
+                                 io::kDefaultBatchSize);
+}
+
 common::Result<ClusteringResult> CkMeans::ClusterFile(
     const std::string& path, int k, uint64_t seed, const Params& params,
     const engine::Engine& eng) {
@@ -468,24 +478,21 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
         path + ": need 1 <= k <= n, got k=" + std::to_string(k) + ", n=" +
         std::to_string(n));
   }
-  const std::size_t default_batch = io::kDefaultBatchSize;
 
-  // Auto mode: the reduced representation is only (m + 1) doubles per
-  // object — when that fits the budget, one streaming pass materializes it
-  // and the in-memory loop takes over. Forcing a mini-batch size (or a
-  // budget too small for even the reduction) selects the epoch-streaming
-  // driver below.
+  // The reduced representation is only (m + 1) doubles per object — when
+  // that fits the budget, one streaming pass materializes it and the
+  // in-memory loop takes over. A budget too small for even the reduction
+  // selects the epoch-streaming path below.
   const std::size_t budget = eng.memory_budget_bytes();
   const std::size_t reduced_bytes = (m + 1) * n * sizeof(double);
-  const std::size_t minibatch = eng.ukmeans_minibatch_size();
-  if (minibatch == 0 && (budget == 0 || reduced_bytes <= budget)) {
+  if (budget == 0 || reduced_bytes <= budget) {
     ReducedMoments red;
     red.n = n;
     red.m = m;
     red.means.resize(n * m);
     red.constants.resize(n);
     for (;;) {
-      auto got = stream.NextBatch(default_batch);
+      auto got = stream.NextBatch(io::kDefaultBatchSize);
       UCLUST_RETURN_NOT_OK(got.status());
       const std::size_t rows = got.ValueOrDie();
       if (rows == 0) break;
@@ -515,7 +522,7 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
         "CK-means epoch streaming supports random (Forgy) seeding only; "
         "k-means++ needs the resident reduced representation");
   }
-  const std::size_t batch = minibatch > 0 ? minibatch : default_batch;
+  const std::size_t batch = EpochBatchRows(m, budget);
 
   common::Rng rng(seed);
   const std::vector<std::size_t> picks = RandomDistinctObjects(n, k, &rng);

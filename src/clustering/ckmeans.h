@@ -132,16 +132,21 @@ class CkMeans final : public Clusterer {
                                   engine::Engine::Serial());
 
   /// File-backed driver: clusters a binary .ubin dataset in bounded memory.
-  /// Auto mode (engine ukmeans_minibatch_size() == 0) streams one reduction
-  /// pass and runs resident when (m+1)*n doubles fit the engine budget;
-  /// otherwise — or when a mini-batch size is forced — it re-streams the
-  /// file once per iteration (plus one seeding and one objective pass)
-  /// holding only O(n) labels/bounds and one batch of moments. Labels,
-  /// objective, and iteration count are bit-identical to RunOnMoments over
-  /// the fully ingested file, for every mini-batch size and thread count.
+  /// When the engine budget is 0 or (m+1)*n doubles fit it, one streaming
+  /// pass builds the reduction and the resident loop runs; otherwise the
+  /// file is re-streamed once per iteration (plus one seeding and one
+  /// objective pass) holding only O(n) labels/bounds and one batch of
+  /// EpochBatchRows(m, budget) moment rows. Labels, objective, iteration
+  /// count and both counters are bit-identical to RunOnMoments over the
+  /// fully ingested file, for every budget and thread count.
   static common::Result<ClusteringResult> ClusterFile(
       const std::string& path, int k, uint64_t seed, const Params& params,
       const engine::Engine& eng = engine::Engine::Serial());
+
+  /// Rows per epoch-streaming batch under `budget_bytes`: as many
+  /// (3m+1)-double moment rows as fit the budget, at least 1 and at most
+  /// io::kDefaultBatchSize (also the value for an unlimited budget, 0).
+  static std::size_t EpochBatchRows(std::size_t m, std::size_t budget_bytes);
 
  private:
   Params params_;

@@ -270,12 +270,11 @@ void PairwiseStore::MaybeRetainWarmRow(std::size_t i, const double* src) {
 void PairwiseStore::BeginGeneration() {
   ++generation_;
   if (!options_.warm_rows) return;
-  // Invalidate rows last touched more than warm_retain_generations ago —
+  // Invalidate rows last touched more than kWarmRetainGenerations ago —
   // the explicit staleness bound of the warm-row protocol.
-  const uint64_t keep_from =
-      generation_ > options_.warm_retain_generations
-          ? generation_ - options_.warm_retain_generations
-          : 0;
+  const uint64_t keep_from = generation_ > kWarmRetainGenerations
+                                 ? generation_ - kWarmRetainGenerations
+                                 : 0;
   for (auto it = warm_rows_.begin(); it != warm_rows_.end();) {
     if (it->generation < keep_from) {
       warm_bytes_ -= it->data.size() * sizeof(double);

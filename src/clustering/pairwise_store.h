@@ -70,6 +70,10 @@ enum class PairwiseBackend { kDense, kTiled, kOnTheFly };
 /// Lower-case display name ("dense", "tiled", "onthefly").
 std::string PairwiseBackendName(PairwiseBackend backend);
 
+/// Warm rows last touched more than this many generations ago are
+/// invalidated at the next PairwiseStore::BeginGeneration().
+inline constexpr std::size_t kWarmRetainGenerations = 2;
+
 /// Tuning of a PairwiseStore instance.
 struct PairwiseStoreOptions {
   PairwiseBackend backend = PairwiseBackend::kDense;
@@ -86,9 +90,6 @@ struct PairwiseStoreOptions {
   /// tile LRU plus the warm cache never exceed the budget. 0 = derive
   /// (a quarter of the budget, at least one row or the policy is disabled).
   std::size_t warm_capacity_bytes = 0;
-  /// Warm rows last touched more than this many generations ago are
-  /// invalidated at the next BeginGeneration().
-  std::size_t warm_retain_generations = 2;
 
   /// Backend selection rule for an n-object table under `budget_bytes`:
   /// unlimited or a budget the dense table fits in -> kDense; room for at
@@ -171,7 +172,7 @@ class PairwiseStore {
   /// Iteration-scoped warm-row protocol: marks the start of a new consumer
   /// iteration (a PAM round, a Lance-Williams merge round). Warm rows stay
   /// servable across generations; rows last touched more than
-  /// options().warm_retain_generations generations ago are invalidated
+  /// kWarmRetainGenerations generations ago are invalidated
   /// here, bounding staleness without a full flush.
   void BeginGeneration();
   /// Drops every warm row immediately (explicit invalidation).

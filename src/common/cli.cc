@@ -34,16 +34,19 @@ ArgParser::ArgParser(int argc, char** argv) {
 }
 
 bool ArgParser::Has(const std::string& key) const {
+  read_.insert(key);
   return values_.count(key) > 0;
 }
 
 std::string ArgParser::GetString(const std::string& key,
                                  const std::string& def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
 }
 
 int64_t ArgParser::GetInt(const std::string& key, int64_t def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
   char* end = nullptr;
@@ -55,6 +58,7 @@ int64_t ArgParser::GetInt(const std::string& key, int64_t def) const {
 }
 
 double ArgParser::GetDouble(const std::string& key, double def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
   char* end = nullptr;
@@ -66,9 +70,20 @@ double ArgParser::GetDouble(const std::string& key, double def) const {
 }
 
 bool ArgParser::GetBool(const std::string& key, bool def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void ArgParser::RejectUnknownFlags() const {
+  bool unknown = false;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) > 0) continue;
+    std::fprintf(stderr, "--%s: unknown flag\n", key.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(1);
 }
 
 Status ParseEngineFlags(const ArgParser& args, engine::EngineConfig* config) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/status.h"
@@ -16,8 +17,8 @@ struct EngineConfig;
 namespace uclust::common {
 
 /// Parses flags of the form `--key=value` or bare `--flag` (value "true").
-/// Non-flag arguments are ignored. Unknown flags are permitted; callers query
-/// only what they understand.
+/// Non-flag arguments are ignored. The parser remembers which keys were
+/// queried, so RejectUnknownFlags() can fail a flag no caller read.
 class ArgParser {
  public:
   /// Parses argv; safe on empty argv.
@@ -37,8 +38,15 @@ class ArgParser {
   /// Boolean value: bare `--key` or `--key=true/1` is true.
   bool GetBool(const std::string& key, bool def) const;
 
+  /// Prints "--<key>: unknown flag" to stderr for every flag that was passed
+  /// but never queried through Has/Get*, and exits with status 1 if there
+  /// was any. Call once every flag the binary accepts has been read, so a
+  /// misspelled or removed flag fails instead of running the default.
+  void RejectUnknownFlags() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  // keys queried so far
 };
 
 /// Parses every canonical engine knob present in `args` into `config`

@@ -42,9 +42,6 @@ void ApplySimdIsa(const std::string& name) {
 Engine::Engine(const EngineConfig& config) {
   block_size_ = std::max<std::size_t>(config.block_size, 1);
   memory_budget_bytes_ = config.memory_budget_bytes;
-  moment_chunk_rows_ = config.moment_chunk_rows;
-  sample_chunk_rows_ = config.sample_chunk_rows;
-  ukmeans_minibatch_size_ = config.ukmeans_minibatch_size;
   ApplySimdIsa(config.simd_isa);
   int threads = config.num_threads;
   if (threads == 0) {
@@ -98,15 +95,6 @@ common::Status ApplyEngineKnob(const std::string& key,
     UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
     cfg->memory_budget_bytes =
         static_cast<std::size_t>(n) * (std::size_t{1} << 20);
-  } else if (key == "moment_chunk_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
-    cfg->moment_chunk_rows = static_cast<std::size_t>(n);
-  } else if (key == "sample_chunk_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
-    cfg->sample_chunk_rows = static_cast<std::size_t>(n);
-  } else if (key == "ukmeans_minibatch_size") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
-    cfg->ukmeans_minibatch_size = static_cast<std::size_t>(n);
   } else if (key == "simd_isa") {
     clustering::simd::Isa isa;
     if (!clustering::simd::IsaFromString(value, &isa)) {
@@ -128,9 +116,6 @@ const std::vector<std::string>& EngineKnobNames() {
       "block_size",
       "memory_budget_mb",
       "memory_budget_bytes",
-      "moment_chunk_rows",
-      "sample_chunk_rows",
-      "ukmeans_minibatch_size",
       "simd_isa",
   };
   return *names;

@@ -39,27 +39,10 @@ struct EngineConfig {
   /// consumer (UK-medoids, UAHC, FOPTICS, FDBSCAN) switch to tiled or
   /// on-the-fly ED^ access, and makes file-backed moment ingestion
   /// (io::StreamMomentStoreFromFile) spill moment columns whose resident
-  /// size exceeds the budget to an mmap-backed .umom sidecar; clusterings
-  /// are bit-identical either way.
+  /// size exceeds the budget to an mmap-backed .umom sidecar; it also sizes
+  /// the mapped sidecars' chunks and CkMeans::ClusterFile's streaming
+  /// batches. Clusterings are bit-identical either way.
   std::size_t memory_budget_bytes = 0;
-  /// Rows per chunk of a Mapped moment store (io::MappedMomentStore).
-  /// Rounded up to a power of two by consumers; 0 = a budget-derived size,
-  /// then the format default (io::kDefaultMomentChunkRows, 4096). Changes chunk/prefetch
-  /// granularity and the span-validity window, never the served values.
-  std::size_t moment_chunk_rows = 0;
-  /// Objects per chunk of a Mapped sample store (io::MappedSampleStore).
-  /// Rounded up to a power of two by consumers; 0 = a budget-derived size,
-  /// then the format default (io::kDefaultSampleChunkRows, 512). Changes
-  /// chunk/prefetch granularity and the span-validity window, never the
-  /// served sample bytes.
-  std::size_t sample_chunk_rows = 0;
-  /// Mini-batch rows per streamed batch for the file-backed CK-means driver
-  /// (clustering::CkMeans::ClusterFile). 0 = auto: keep the reduced
-  /// representation resident when it fits memory_budget_bytes, otherwise
-  /// re-stream the file per iteration at the default batch size. A nonzero
-  /// value forces the epoch-streaming driver with that batch size. Pure
-  /// memory knob: results are bit-identical for every value.
-  std::size_t ukmeans_minibatch_size = 0;
   /// SIMD instruction-set path for the inner-loop kernels
   /// (clustering/simd/): "auto" (best compiled-and-supported path — AVX2 on
   /// capable x86, NEON on aarch64, else scalar), or "scalar"/"avx2"/"neon"
@@ -92,14 +75,6 @@ class Engine {
   /// Memory budget in bytes for pairwise tables and moment columns
   /// (0 = unlimited).
   std::size_t memory_budget_bytes() const { return memory_budget_bytes_; }
-  /// Mapped moment-store chunk-rows hint (0 = format default).
-  std::size_t moment_chunk_rows() const { return moment_chunk_rows_; }
-  /// Mapped sample-store chunk-rows hint (0 = budget-derived/default).
-  std::size_t sample_chunk_rows() const { return sample_chunk_rows_; }
-  /// Mini-batch size for the file-backed CK-means driver (0 = auto).
-  std::size_t ukmeans_minibatch_size() const {
-    return ukmeans_minibatch_size_;
-  }
   /// The SIMD path this engine resolved at construction ("scalar"/"avx2"/
   /// "neon" — never "auto"; the default-constructed serial engine reports
   /// whatever the process-global dispatcher currently runs).
@@ -110,9 +85,6 @@ class Engine {
  private:
   std::size_t block_size_ = 1024;
   std::size_t memory_budget_bytes_ = 0;
-  std::size_t moment_chunk_rows_ = 0;
-  std::size_t sample_chunk_rows_ = 0;
-  std::size_t ukmeans_minibatch_size_ = 0;
   std::shared_ptr<ThreadPool> pool_;
 };
 
@@ -126,9 +98,6 @@ class Engine {
 ///   block_size                int >= 1
 ///   memory_budget_bytes       int >= 0 (0 = unlimited)
 ///   memory_budget_mb          convenience form; sets the bytes field
-///   moment_chunk_rows         int >= 0 (0 = format default)
-///   sample_chunk_rows         int >= 0 (0 = budget-derived/default)
-///   ukmeans_minibatch_size    int >= 0 (0 = auto)
 ///   simd_isa                  auto|scalar|avx2|neon (name validated here;
 ///                             availability resolves at Engine construction)
 ///

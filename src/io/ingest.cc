@@ -169,8 +169,7 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   SidecarHeader want;
   want.n = n;
   want.m = m;
-  want.chunk_rows = options.chunk_rows != 0 ? options.chunk_rows
-                                            : eng.moment_chunk_rows();
+  want.chunk_rows = options.chunk_rows;
   UCLUST_RETURN_NOT_OK(StampSource(path, &want));
   auto sidecar = OpenOrRebuildSidecar(
       kMomentSidecar,

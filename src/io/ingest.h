@@ -50,9 +50,8 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
 /// Tuning of a StreamMomentStoreFromFile call.
 struct MomentStoreOptions {
   BackendChoice backend = BackendChoice::kAuto;
-  /// Rows per sidecar chunk; 0 = the engine's moment_chunk_rows hint, then
-  /// a budget-derived size, then the format default. Rounded up to a power
-  /// of two.
+  /// Rows per sidecar chunk; 0 = a size derived from the engine's memory
+  /// budget, then the format default. Rounded up to a power of two.
   std::size_t chunk_rows = 0;
   /// Sidecar location; "" = dataset path + ".umom".
   std::string sidecar_path;

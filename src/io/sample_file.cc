@@ -171,8 +171,7 @@ common::Result<uncertain::SampleStorePtr> MakeSampleStore(
     sidecar = DefaultSampleSidecarPath(source, samples_per_object, seed);
   }
   if (!source.empty()) UCLUST_RETURN_NOT_OK(StampSource(source, &want));
-  want.chunk_rows = options.chunk_rows != 0 ? options.chunk_rows
-                                            : eng.sample_chunk_rows();
+  want.chunk_rows = options.chunk_rows;
 
   auto opened = OpenOrRebuildSidecar(
       kSampleSidecar, sidecar, want, eng, options.reuse_sidecar,

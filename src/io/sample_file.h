@@ -100,9 +100,8 @@ std::string DefaultSampleSidecarPath(const std::string& dataset_path,
 /// Tuning of a MakeSampleStore call.
 struct SampleStoreOptions {
   BackendChoice backend = BackendChoice::kAuto;
-  /// Objects per sidecar chunk; 0 = the engine's sample_chunk_rows hint,
-  /// then a budget-derived size, then the format default. Rounded up to a
-  /// power of two.
+  /// Objects per sidecar chunk; 0 = a size derived from the engine's
+  /// memory budget, then the format default. Rounded up to a power of two.
   std::size_t chunk_rows = 0;
   /// Sidecar location; "" = the dataset's annotated sidecar, then
   /// DefaultSampleSidecarPath next to its source file, then a self-deleting

@@ -2,8 +2,8 @@
 // bound pruning must reproduce the direct UK-means sweeps
 // (Ukmeans::RunOnMoments) bit-for-bit on every moment backend, the
 // maintained bounds must actually bound, the evaluation counters must
-// satisfy their accounting contract, and the file-backed mini-batch driver
-// must match the fully ingested run for any batch size.
+// satisfy their accounting contract, and CkMeans::ClusterFile must match the
+// fully ingested run under any memory budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,13 +46,11 @@ data::UncertainDataset TestDataset(std::size_t n, std::size_t m, int classes,
   return data::UncertaintyModel(d, up, seed + 1).Uncertain();
 }
 
-engine::Engine EngineWith(int threads, std::size_t budget = 0,
-                          std::size_t minibatch = 0) {
+engine::Engine EngineWith(int threads, std::size_t budget = 0) {
   engine::EngineConfig config;
   config.num_threads = threads;
   config.block_size = 128;
   config.memory_budget_bytes = budget;
-  config.ukmeans_minibatch_size = minibatch;
   return engine::Engine(config);
 }
 
@@ -256,21 +254,26 @@ TEST(Ckmeans, RegistryEntryMatchesUkmeans) {
 }
 
 // ---------------------------------------------------------------------------
-// File-backed driver: auto-resident and epoch-streaming mini-batch modes.
+// CkMeans::ClusterFile: resident reduction under a budget it fits, epoch
+// streaming under one it does not.
 
 struct FileFixture {
   std::string path;
+  std::size_t reduced_bytes = 0;  // (m + 1) * n doubles
   Ukmeans::Outcome direct;  // reference over the fully ingested file
+  CkMeans::Outcome bounded;  // the same, through the bounded kernel
   int k = 4;
   uint64_t seed = 23;
 };
 
-FileFixture MakeFileFixture(std::size_t n) {
+FileFixture MakeFileFixture(std::size_t n, std::size_t m) {
   FileFixture f;
-  f.path = TempPath("ckmeans_stream_" + std::to_string(n) + ".ubin");
+  f.path = TempPath("ckmeans_stream_" + std::to_string(n) + "x" +
+                    std::to_string(m) + ".ubin");
+  f.reduced_bytes = (m + 1) * n * sizeof(double);
   data::SyntheticGenParams gp;
   gp.n = n;
-  gp.m = 6;
+  gp.m = m;
   gp.classes = 4;
   gp.seed = 97;
   EXPECT_TRUE(data::WriteSyntheticDataset(gp, f.path, "stream").ok());
@@ -278,60 +281,75 @@ FileFixture MakeFileFixture(std::size_t n) {
   EXPECT_TRUE(store.ok());
   // Same block size as EngineWith: the objective's blocked summation order
   // is part of the determinism contract (fixed partition, any threads).
-  f.direct = Ukmeans::RunOnMoments(store.ValueOrDie()->view(), f.k, f.seed,
-                                   Ukmeans::Params(), EngineWith(1));
+  const uncertain::MomentView mm = store.ValueOrDie()->view();
+  f.direct = Ukmeans::RunOnMoments(mm, f.k, f.seed, Ukmeans::Params(),
+                                   EngineWith(1));
+  f.bounded = CkMeans::RunOnMoments(mm, f.k, f.seed, CkMeans::Params(),
+                                    EngineWith(1));
   return f;
 }
 
-TEST(CkmeansClusterFile, AutoResidentMatchesIngestedRun) {
-  const FileFixture f = MakeFileFixture(600);
-  for (int threads : kThreadCounts) {
-    CkMeans::Params p;
-    auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p, EngineWith(threads));
-    ASSERT_TRUE(r.ok()) << "threads=" << threads;
-    const ClusteringResult& out = r.ValueOrDie();
-    EXPECT_EQ(out.labels, f.direct.labels) << "threads=" << threads;
-    EXPECT_EQ(out.objective, f.direct.objective) << "threads=" << threads;
-    EXPECT_EQ(out.iterations, f.direct.iterations) << "threads=" << threads;
-  }
-  std::remove(f.path.c_str());
+void ExpectMatchesIngestedRun(const FileFixture& f,
+                              const ClusteringResult& out,
+                              const std::string& label) {
+  EXPECT_EQ(out.labels, f.direct.labels) << label;
+  EXPECT_EQ(out.objective, f.direct.objective) << label;
+  EXPECT_EQ(out.iterations, f.direct.iterations) << label;
+  EXPECT_EQ(out.center_distance_evals, f.bounded.center_distance_evals)
+      << label;
+  EXPECT_EQ(out.bounds_skipped, f.bounded.bounds_skipped) << label;
 }
 
-TEST(CkmeansClusterFile, EveryMinibatchSizeMatchesIngestedRun) {
-  const FileFixture f = MakeFileFixture(600);
-  for (const std::size_t batch : {std::size_t{37}, std::size_t{64},
-                                  std::size_t{256}, std::size_t{1000}}) {
-    for (int threads : {1, 8}) {
+TEST(CkmeansClusterFile, ResidentWhenTheReductionFitsTheBudget) {
+  const FileFixture f = MakeFileFixture(600, 6);
+  for (const std::size_t budget : {std::size_t{0}, f.reduced_bytes}) {
+    for (int threads : kThreadCounts) {
       auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
-                                    EngineWith(threads, 0, batch));
-      ASSERT_TRUE(r.ok()) << "batch=" << batch << " threads=" << threads;
-      const ClusteringResult& out = r.ValueOrDie();
-      EXPECT_EQ(out.labels, f.direct.labels)
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(out.objective, f.direct.objective)
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(out.iterations, f.direct.iterations)
-          << "batch=" << batch << " threads=" << threads;
+                                    EngineWith(threads, budget));
+      const std::string label = "budget=" + std::to_string(budget) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_TRUE(r.ok()) << label;
+      ExpectMatchesIngestedRun(f, r.ValueOrDie(), label);
     }
   }
   std::remove(f.path.c_str());
 }
 
-TEST(CkmeansClusterFile, TinyMemoryBudgetStreamsToCompletion) {
-  // Budget far below the (m+1)*n*8-byte reduced representation: the auto
-  // mode must fall back to epoch streaming and still match the ingested
-  // run exactly — the bounded-memory acceptance path.
-  const FileFixture f = MakeFileFixture(800);
-  const std::size_t budget = 2048;  // < (6+1)*800*8 = 44800 bytes
-  CkMeans::Params p;
-  auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
-                                EngineWith(2, budget));
-  ASSERT_TRUE(r.ok());
-  const ClusteringResult& out = r.ValueOrDie();
-  EXPECT_EQ(out.labels, f.direct.labels);
-  EXPECT_EQ(out.objective, f.direct.objective);
-  EXPECT_EQ(out.iterations, f.direct.iterations);
-  std::remove(f.path.c_str());
+TEST(CkmeansClusterFile, EpochBatchRowsFitTheBudget) {
+  const std::size_t row_bytes = (3 * 6 + 1) * sizeof(double);
+  EXPECT_EQ(CkMeans::EpochBatchRows(6, 0), io::kDefaultBatchSize);
+  EXPECT_EQ(CkMeans::EpochBatchRows(6, 1), 1u);
+  EXPECT_EQ(CkMeans::EpochBatchRows(6, 2 * row_bytes - 1), 1u);
+  EXPECT_EQ(CkMeans::EpochBatchRows(6, 37 * row_bytes + 5), 37u);
+  EXPECT_EQ(CkMeans::EpochBatchRows(6, std::size_t{1} << 40),
+            io::kDefaultBatchSize);
+}
+
+// Every budget below the reduction streams epochs; the budgets are chosen
+// so the derived batch takes 1 row, non-powers of two and the
+// kDefaultBatchSize cap. Results match the ingested run exactly.
+TEST(CkmeansClusterFile, EveryBudgetDerivedBatchMatchesIngestedRun) {
+  struct Case {
+    std::size_t n, m, batch;
+  };
+  for (const Case c : {Case{600, 6, 1}, Case{600, 6, 37},
+                       Case{10000, 2, 1000},
+                       Case{10000, 2, io::kDefaultBatchSize}}) {
+    const FileFixture f = MakeFileFixture(c.n, c.m);
+    const std::size_t budget = c.batch * (3 * c.m + 1) * sizeof(double);
+    ASSERT_LT(budget, f.reduced_bytes);
+    ASSERT_EQ(CkMeans::EpochBatchRows(c.m, budget), c.batch);
+    for (int threads : {1, 8}) {
+      auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
+                                    EngineWith(threads, budget));
+      const std::string label = "n=" + std::to_string(c.n) +
+                                " batch=" + std::to_string(c.batch) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_TRUE(r.ok()) << label;
+      ExpectMatchesIngestedRun(f, r.ValueOrDie(), label);
+    }
+    std::remove(f.path.c_str());
+  }
 }
 
 TEST(CkmeansClusterFile, RejectsPlusPlusInEpochMode) {
@@ -343,8 +361,9 @@ TEST(CkmeansClusterFile, RejectsPlusPlusInEpochMode) {
   ASSERT_TRUE(data::WriteSyntheticDataset(gp, path, "pp").ok());
   CkMeans::Params p;
   p.init = InitStrategy::kPlusPlus;
-  // A forced mini-batch size selects epoch streaming.
-  const auto r = CkMeans::ClusterFile(path, 2, 1, p, EngineWith(1, 0, 32));
+  // A budget below the (3 + 1) * 100-double reduction selects epoch
+  // streaming.
+  const auto r = CkMeans::ClusterFile(path, 2, 1, p, EngineWith(1, 1024));
   EXPECT_FALSE(r.ok());
   std::remove(path.c_str());
 }

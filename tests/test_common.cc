@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "engine/engine.h"
 
 namespace uclust::common {
 namespace {
@@ -286,6 +287,22 @@ TEST(CliDeathTest, MalformedNumberExitsNamingTheFlag) {
               "--empty: expected a number, got ''");
   // Absent flags still take the default.
   EXPECT_EQ(args.GetInt("missing", 3), 3);
+}
+
+TEST(CliDeathTest, UnreadFlagExitsNamingTheFlag) {
+  const char* argv[] = {"prog", "--runs=5", "--threads=2", "--runz=7",
+                        "stray"};
+  ArgParser args(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetInt("runs", 1), 5);
+  engine::EngineConfig config;
+  ASSERT_TRUE(ParseEngineFlags(args, &config).ok());
+  EXPECT_EQ(config.num_threads, 2);
+  // A typo of --runs was never read: it fails instead of running the default.
+  EXPECT_EXIT(args.RejectUnknownFlags(), ::testing::ExitedWithCode(1),
+              "--runz: unknown flag");
+  // Reading a flag, even through Has(), makes it known.
+  EXPECT_TRUE(args.Has("runz"));
+  args.RejectUnknownFlags();
 }
 
 TEST(Stopwatch, MeasuresElapsedMonotonically) {

@@ -255,8 +255,9 @@ TEST(ParallelDeterminism, MappedSampleBytesIndependentOfFaultOrder) {
 
 // Sampled-workload determinism sweep: for each sampled algorithm, the
 // clustering must be bit-identical across the sample backend (Resident vs
-// the mmap-backed .usmp spill), the sidecar chunk size, and the thread
-// count — labels, objective, iteration count, and both evaluation counters.
+// the mmap-backed .usmp spill) and the thread count — labels, objective,
+// iteration count, and both evaluation counters. Chunk-size identity is
+// covered at store level (SidecarStoreTest.ChunkBoundarySweepIsBitIdentical).
 // The mapped arm's budget sits between the pairwise table (60^2 doubles)
 // and the sample block (60 * S * 3 doubles), so ONLY the sample backend
 // flips; the pairwise store stays dense in every arm and the counters are
@@ -266,15 +267,12 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
   // Dense pairwise table: 60 * 60 * 8 = 28800 bytes. Smallest sample block
   // in the sweep: 60 * 24 * 3 * 8 = 34560 bytes.
   const std::size_t mapped_budget = 30000;
-  const auto make = [](const std::string& name,
-                       int threads, std::size_t budget,
-                       std::size_t chunk_rows)
-      -> std::unique_ptr<Clusterer> {
+  const auto make = [](const std::string& name, int threads,
+                       std::size_t budget) -> std::unique_ptr<Clusterer> {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.sample_chunk_rows = chunk_rows;
     const engine::Engine eng(config);
     if (name == "UK-medoids") {
       UkMedoids::Params p;
@@ -296,29 +294,22 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
        {std::string("UK-medoids"), std::string("FDBSCAN"),
         std::string("FOPTICS")}) {
     const ClusteringResult baseline =
-        make(name, 1, 0, 16)->Cluster(ds, 3, 13);
+        make(name, 1, 0)->Cluster(ds, 3, 13);
     EXPECT_EQ(baseline.pairwise_backend, "dense") << name;
     for (const std::size_t budget : {std::size_t{0}, mapped_budget}) {
-      for (const std::size_t chunk_rows : {std::size_t{16}, std::size_t{64}}) {
-        for (int threads : kThreadCounts) {
-          const ClusteringResult out =
-              make(name, threads, budget, chunk_rows)->Cluster(ds, 3, 13);
-          const auto label = [&] {
-            return name + " budget=" + std::to_string(budget) +
-                   " chunk=" + std::to_string(chunk_rows) +
-                   " threads=" + std::to_string(threads);
-          };
-          EXPECT_EQ(out.pairwise_backend, baseline.pairwise_backend)
-              << label();
-          EXPECT_EQ(out.labels, baseline.labels) << label();
-          if (!std::isnan(baseline.objective)) {
-            EXPECT_EQ(out.objective, baseline.objective) << label();
-          }
-          EXPECT_EQ(out.iterations, baseline.iterations) << label();
-          EXPECT_EQ(out.ed_evaluations, baseline.ed_evaluations) << label();
-          EXPECT_EQ(out.pair_evaluations, baseline.pair_evaluations)
-              << label();
+      for (int threads : kThreadCounts) {
+        const ClusteringResult out =
+            make(name, threads, budget)->Cluster(ds, 3, 13);
+        const std::string label = name + " budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(out.pairwise_backend, baseline.pairwise_backend) << label;
+        EXPECT_EQ(out.labels, baseline.labels) << label;
+        if (!std::isnan(baseline.objective)) {
+          EXPECT_EQ(out.objective, baseline.objective) << label;
         }
+        EXPECT_EQ(out.iterations, baseline.iterations) << label;
+        EXPECT_EQ(out.ed_evaluations, baseline.ed_evaluations) << label;
+        EXPECT_EQ(out.pair_evaluations, baseline.pair_evaluations) << label;
       }
     }
   }

@@ -68,7 +68,7 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
       "{\"dataset_id\": \"ds-2\", \"algorithm\": \"UK-means\", \"k\": 8,"
       " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
       " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
-      "              \"ukmeans_minibatch_size\": 256}}");
+      "              \"block_size\": 256}}");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const JobSpec& s = spec.ValueOrDie();
   EXPECT_EQ(s.algorithm, "UK-means");
@@ -77,7 +77,7 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
   EXPECT_FALSE(s.include_labels);
   EXPECT_EQ(s.engine.num_threads, 4);
   EXPECT_EQ(s.engine.memory_budget_bytes, 64u * 1024 * 1024);
-  EXPECT_EQ(s.engine.ukmeans_minibatch_size, 256u);
+  EXPECT_EQ(s.engine.block_size, 256u);
   EXPECT_EQ(s.engine_knobs.size(), 3u);
 }
 
@@ -110,13 +110,15 @@ TEST(JobSpec, RejectsInvalidBodies) {
                    .ok());
 }
 
-// The exactness-preserving A/B toggles are gone from the knob table; a
-// request still naming one fails validation and says which key.
+// The exactness-preserving A/B toggles and the chunk/batch size hints (the
+// memory budget sizes those) are gone from the knob table; a request still
+// naming one fails validation and says which key.
 TEST(JobSpec, RejectsRemovedEngineKnobs) {
   for (const char* knob :
        {"pairwise_gather_tiles", "pairwise_warm_rows", "pairwise_pruned_sweeps",
         "ukmeans_ckmeans_reduction", "ukmeans_bound_pruning",
-        "spatial_index"}) {
+        "spatial_index", "moment_chunk_rows", "sample_chunk_rows",
+        "ukmeans_minibatch_size"}) {
     auto spec = JobSpec::FromJson(
         std::string("{\"dataset_id\": \"d\", \"k\": 3, \"engine\": {\"") +
         knob + "\": true}}");

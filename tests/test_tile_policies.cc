@@ -238,7 +238,6 @@ TEST(TilePolicies, WarmRowCountersAndGenerationInvalidation) {
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
   PairwiseStoreOptions options =
       Explicit(PairwiseBackend::kTiled, 8, 1, true, 4 * n * sizeof(double));
-  options.warm_retain_generations = 2;
   PairwiseStore store(eng, kernel, options);
 
   std::vector<double> row;
@@ -259,9 +258,9 @@ TEST(TilePolicies, WarmRowCountersAndGenerationInvalidation) {
   EXPECT_EQ(store.warm_misses(), 1);
 
   // Untouched past the retention window: invalidated at generation start.
-  store.BeginGeneration();
-  store.BeginGeneration();
-  store.BeginGeneration();
+  for (std::size_t g = 0; g <= kWarmRetainGenerations; ++g) {
+    store.BeginGeneration();
+  }
   store.GatherRow(40, &row);
   EXPECT_EQ(store.warm_hits(), 2);
   EXPECT_EQ(store.warm_misses(), 2);

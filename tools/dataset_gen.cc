@@ -45,12 +45,9 @@
 //                     the clusterer with a matching --sample_seed); a
 //                     mismatched sidecar is never reused — the run falls
 //                     back to its own param-encoded sibling file.
-//
-// Engine knobs (--threads, --moment_chunk_rows, --sample_chunk_rows, ...)
-// are parsed strictly through the canonical common::ParseEngineFlags table
-// and drive the sidecar passes: the chunk-rows knobs set the respective
-// sidecar chunk rows (rounded up to a power of two; 0 = format default) and
-// --threads parallelizes the packing/drawing.
+//   --threads=N --memory_budget_mb=M ...  engine knobs
+//                     (common::ParseEngineFlags); --threads parallelizes
+//                     the sidecar passes
 //
 // Equal flags produce byte-identical sidecars too: the sample bytes for
 // object i are a pure function of (pdf records, sample seed, i, S), never
@@ -100,6 +97,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
     return 1;
   }
+  const std::string moments_path = args.GetString("emit-moments", "");
+  const std::string samples_path = args.GetString("emit-samples", "");
+  const int samples_per_object =
+      static_cast<int>(args.GetInt("samples_per_object", 32));
+  const uint64_t sample_seed =
+      static_cast<uint64_t>(args.GetInt("sample_seed", 0x5eedbeefLL));
+  args.RejectUnknownFlags();
 
   st = data::ValidateSyntheticGenParams(params);
   if (!st.ok()) {
@@ -120,11 +124,9 @@ int main(int argc, char** argv) {
   // Optional second pass: precompute the moment sidecar once so Mapped-
   // backend bench runs skip ingestion entirely (they reuse the sidecar via
   // its n/m/source-size staleness guard).
-  const std::string moments_path = args.GetString("emit-moments", "");
   if (!moments_path.empty()) {
     st = io::BuildMomentSidecar(out_path, moments_path,
-                                engine::Engine(engine_cfg),
-                                engine_cfg.moment_chunk_rows);
+                                engine::Engine(engine_cfg));
     if (!st.ok()) {
       std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
       return 1;
@@ -136,15 +138,9 @@ int main(int argc, char** argv) {
   // Optional third pass: precompute the .usmp sample sidecar so sampled
   // clusterers on the Mapped sample backend reuse it (matched via the
   // n/m/S/seed/source staleness guard) instead of re-drawing into a spill.
-  const std::string samples_path = args.GetString("emit-samples", "");
   if (!samples_path.empty()) {
-    const int samples_per_object =
-        static_cast<int>(args.GetInt("samples_per_object", 32));
-    const uint64_t sample_seed = static_cast<uint64_t>(
-        args.GetInt("sample_seed", 0x5eedbeefLL));
     st = io::BuildSampleSidecar(out_path, samples_path, samples_per_object,
-                                sample_seed, engine::Engine(engine_cfg),
-                                engine_cfg.sample_chunk_rows);
+                                sample_seed, engine::Engine(engine_cfg));
     if (!st.ok()) {
       std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
       return 1;

@@ -56,14 +56,16 @@ int main(int argc, char** argv) {
   cfg.jobs.global_budget_bytes =
       static_cast<std::size_t>(args.GetInt("global_budget_mb", 0)) * 1024 *
       1024;
+  const std::string preregister = args.GetString("register", "");
+  const std::string register_moments = args.GetString("register_moments", "");
+  const std::string register_samples = args.GetString("register_samples", "");
+  args.RejectUnknownFlags();
 
   service::ClusteringService svc(std::move(cfg));
 
-  const std::string preregister = args.GetString("register", "");
   if (!preregister.empty()) {
     common::Result<service::DatasetInfo> info = svc.registry().Register(
-        preregister, args.GetString("register_moments", ""),
-        args.GetString("register_samples", ""));
+        preregister, register_moments, register_samples);
     if (!info.ok()) {
       std::fprintf(stderr, "serve: %s\n", info.status().ToString().c_str());
       return 1;
